@@ -9,7 +9,7 @@ constants and runs the zonal-function inequality checkers by quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -115,6 +115,72 @@ class SphereScene:
             return np.eye(self.ambient_dim)[:, : self.n + 1]
         return self.subspace
 
+    def state(self, t: float) -> SphereState:
+        """Exact curvature record of the shrinking sphere at time t."""
+        T = self.collapse_time
+        if t < 0 or t >= T:
+            raise PastSingularity(f"t={t} outside [0, {T})")
+        n = self.n
+        r = math.sqrt(self.r0 ** 2 - 2.0 * n * t)
+        return SphereState(
+            r=r,
+            h2=n ** 2 / r ** 2,
+            a2=n / r ** 2,
+            aring2=0.0,
+            vol=unit_sphere_area(n) * r ** n,
+            T=T,
+        )
+
+    def form_components(self, t: float) -> np.ndarray:
+        """Second-fundamental-form components (d, n, n) in the canonical frame:
+        umbilic with one active normal, zeros in the flat normal directions."""
+        h = np.zeros((self.d, self.n, self.n))
+        h[0] = np.eye(self.n) / self.state(t).r
+        return h
+
+    def diameter(self, t: float) -> float:
+        """Intrinsic diameter at time t: half a great circle."""
+        return math.pi * self.state(t).r
+
+    def quadratic_growth_threshold(self, t: float) -> float:
+        """Smallest c1 with d|A|^2/dt <= Laplacian(|A|^2) + c1 |A|^4 at time t.
+
+        |A|^2 is spatially constant, so the Laplacian term vanishes; spheres
+        sit exactly at the threshold 2.
+        """
+        st = self.state(t)
+        return 2.0 * self.n ** 2 / st.r ** 4 / st.a2 ** 2
+
+    def spacetime_integral(self, alpha: float, t_end: float) -> float:
+        """Accumulated integral of |H|^alpha over M x [0, t_end]."""
+        if alpha < 1:
+            raise ValidationError("alpha must be >= 1", field="alpha")
+        T = self.collapse_time
+        if t_end < 0 or t_end >= T:
+            raise PastSingularity(f"t_end={t_end} outside [0, {T})")
+        if t_end == 0:
+            return 0.0
+        n = self.n
+        area = unit_sphere_area(n)
+        if alpha == n + 2:
+            return (n ** (n + 1) * area / 2.0) * math.log(T / (T - t_end))
+
+        def integrand(t):
+            r = math.sqrt(self.r0 ** 2 - 2.0 * n * t)
+            return n ** alpha * area * r ** (n - alpha)
+
+        value, _ = integrate.quad(integrand, 0.0, t_end, limit=200)
+        return value
+
+    def oracle_record(self, t: float) -> dict:
+        """Closed-form state at time t as a JSON-ready record."""
+        return {
+            "kind": "sphere",
+            "t": t,
+            **asdict(self.state(t)),
+            "spacetime_norm_n_plus_2": spacetime_h_norm_closed_form(self, self.n + 2.0, t),
+        }
+
 
 @dataclass(frozen=True)
 class SphereProductScene:
@@ -150,6 +216,54 @@ class SphereProductScene:
     def collapse_time(self) -> float:
         return min(self.a0 ** 2 / (2.0 * self.p), self.b0 ** 2 / (2.0 * self.q))
 
+    def state(self, t: float) -> SphereProductState:
+        """Exact curvature record of the shrinking sphere product at time t."""
+        T = self.collapse_time
+        if t < 0 or t >= T:
+            raise PastSingularity(f"t={t} outside [0, {T})")
+        p, q = self.p, self.q
+        a = math.sqrt(self.a0 ** 2 - 2.0 * p * t)
+        b = math.sqrt(self.b0 ** 2 - 2.0 * q * t)
+        h2 = (p / a) ** 2 + (q / b) ** 2
+        a2 = p / a ** 2 + q / b ** 2
+        return SphereProductState(
+            a=a,
+            b=b,
+            h2=h2,
+            a2=a2,
+            aring2=a2 - h2 / (p + q),
+            vol=unit_sphere_area(p) * a ** p * unit_sphere_area(q) * b ** q,
+            T=T,
+        )
+
+    def form_components(self, t: float) -> np.ndarray:
+        """Second-fundamental-form components (d, n, n) in the canonical frame:
+        one diagonal block per factor normal, zeros in the extra normals."""
+        st = self.state(t)
+        h = np.zeros((self.d, self.n, self.n))
+        h[0, : self.p, : self.p] = np.eye(self.p) / st.a
+        h[1, self.p :, self.p :] = np.eye(self.q) / st.b
+        return h
+
+    def diameter(self, t: float) -> float:
+        """Intrinsic diameter at time t: antipodal points in both factors."""
+        st = self.state(t)
+        return math.pi * math.hypot(st.a, st.b)
+
+    def quadratic_growth_threshold(self, t: float) -> float:
+        """Smallest c1 with d|A|^2/dt <= Laplacian(|A|^2) + c1 |A|^4 at time t."""
+        st = self.state(t)
+        du = 2.0 * self.p ** 2 / st.a ** 4 + 2.0 * self.q ** 2 / st.b ** 4
+        return du / st.a2 ** 2
+
+    def spacetime_integral(self, alpha: float, t_end: float) -> None:
+        """No closed form; flow drivers accumulate the integral themselves."""
+        return None
+
+    def oracle_record(self, t: float) -> dict:
+        """Closed-form state at time t as a JSON-ready record."""
+        return {"kind": "sphere_product", "t": t, **asdict(self.state(t))}
+
 
 @dataclass(frozen=True)
 class SphereState:
@@ -172,90 +286,15 @@ class SphereProductState:
     T: float
 
 
-def sphere_state(scene: SphereScene, t: float) -> SphereState:
-    """Exact curvature record of the shrinking sphere at time t."""
-    T = scene.collapse_time
-    if t < 0 or t >= T:
-        raise PastSingularity(f"t={t} outside [0, {T})")
-    n = scene.n
-    r = math.sqrt(scene.r0 ** 2 - 2.0 * n * t)
-    return SphereState(
-        r=r,
-        h2=n ** 2 / r ** 2,
-        a2=n / r ** 2,
-        aring2=0.0,
-        vol=unit_sphere_area(n) * r ** n,
-        T=T,
-    )
-
-
-def sphere_product_state(scene: SphereProductScene, t: float) -> SphereProductState:
-    """Exact curvature record of the shrinking sphere product at time t."""
-    T = scene.collapse_time
-    if t < 0 or t >= T:
-        raise PastSingularity(f"t={t} outside [0, {T})")
-    p, q = scene.p, scene.q
-    a = math.sqrt(scene.a0 ** 2 - 2.0 * p * t)
-    b = math.sqrt(scene.b0 ** 2 - 2.0 * q * t)
-    h2 = (p / a) ** 2 + (q / b) ** 2
-    a2 = p / a ** 2 + q / b ** 2
-    return SphereProductState(
-        a=a,
-        b=b,
-        h2=h2,
-        a2=a2,
-        aring2=a2 - h2 / (p + q),
-        vol=unit_sphere_area(p) * a ** p * unit_sphere_area(q) * b ** q,
-        T=T,
-    )
-
-
-def scene_form_components(scene, t: float) -> np.ndarray:
-    """Second-fundamental-form components (d, n, n) in the canonical frame.
-
-    Spheres are umbilic with one active normal; a product has one diagonal
-    block per factor normal.  Extra flat normal directions contribute zeros.
-    """
-    if isinstance(scene, SphereScene):
-        st = sphere_state(scene, t)
-        h = np.zeros((scene.d, scene.n, scene.n))
-        h[0] = np.eye(scene.n) / st.r
-        return h
-    if isinstance(scene, SphereProductScene):
-        st = sphere_product_state(scene, t)
-        n = scene.n
-        h = np.zeros((scene.d, n, n))
-        h[0, : scene.p, : scene.p] = np.eye(scene.p) / st.a
-        h[1, scene.p :, scene.p :] = np.eye(scene.q) / st.b
-        return h
-    raise TypeError(f"unsupported scene type {type(scene).__name__}")
-
-
-def spacetime_h_integral(scene: SphereScene, alpha: float, t_end: float) -> float:
-    """Accumulated integral of |H|^alpha over M x [0, t_end] on the sphere."""
-    if alpha < 1:
-        raise ValidationError("alpha must be >= 1", field="alpha")
-    T = scene.collapse_time
-    if t_end < 0 or t_end >= T:
-        raise PastSingularity(f"t_end={t_end} outside [0, {T})")
-    if t_end == 0:
-        return 0.0
-    n = scene.n
-    area = unit_sphere_area(n)
-    if alpha == n + 2:
-        return (n ** (n + 1) * area / 2.0) * math.log(T / (T - t_end))
-
-    def integrand(t):
-        r = math.sqrt(scene.r0 ** 2 - 2.0 * n * t)
-        return n ** alpha * area * r ** (n - alpha)
-
-    value, _ = integrate.quad(integrand, 0.0, t_end, limit=200)
-    return value
+# function-style names for the closed forms
+sphere_state = SphereScene.state
+sphere_product_state = SphereProductScene.state
+spacetime_h_integral = SphereScene.spacetime_integral
 
 
 def spacetime_h_norm_closed_form(scene: SphereScene, alpha: float, t_end: float) -> float:
     """Spacetime L^alpha norm of |H| on the shrinking sphere up to t_end."""
-    return spacetime_h_integral(scene, alpha, t_end) ** (1.0 / alpha)
+    return scene.spacetime_integral(alpha, t_end) ** (1.0 / alpha)
 
 
 def hoffman_spruck_constant(n: int, alpha: float, b_real: bool = True) -> float:
@@ -280,24 +319,6 @@ def hoffman_spruck_constant(n: int, alpha: float, b_real: bool = True) -> float:
     if b_real:
         value *= 0.5 * math.pi
     return value
-
-
-def quadratic_growth_threshold(scene, t: float) -> float:
-    """Smallest c1 with d|A|^2/dt <= Laplacian(|A|^2) + c1 |A|^4 at time t.
-
-    The squared norm is spatially constant on these scenes so the Laplacian
-    term vanishes; spheres sit exactly at the threshold 2.
-    """
-    if isinstance(scene, SphereScene):
-        st = sphere_state(scene, t)
-        n = scene.n
-        du = 2.0 * n ** 2 / st.r ** 4
-        return du / st.a2 ** 2
-    if isinstance(scene, SphereProductScene):
-        st = sphere_product_state(scene, t)
-        du = 2.0 * scene.p ** 2 / st.a ** 4 + 2.0 * scene.q ** 2 / st.b ** 4
-        return du / st.a2 ** 2
-    raise TypeError(f"unsupported scene type {type(scene).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +373,7 @@ def _zonal_rule(order: int, n: int):
 
 def zonal_integral(fn, scene: SphereScene, t: float, order: int = 64) -> float:
     """Integral over the sphere at time t of a function of the polar angle."""
-    st = sphere_state(scene, t)
+    st = scene.state(t)
     theta, w = _zonal_rule(order, scene.n)
     vals = np.asarray(fn(theta), dtype=float)
     return unit_sphere_area(scene.n - 1) * st.r ** scene.n * float(w @ vals)
@@ -397,7 +418,7 @@ def calibrated_sobolev_constant(n: int, order: int = 96) -> float:
 def _curvature_weighted_sides(scene, t, v, order):
     # returns (lhs, rhs-without-constant)
     n = scene.n
-    st = sphere_state(scene, t)
+    st = scene.state(t)
     exponent = 2.0 * n / (n - 2.0)
     lp = zonal_integral(lambda th: np.abs(v(th)) ** exponent, scene, t, order)
     lhs = lp ** ((n - 2.0) / n)
@@ -426,21 +447,14 @@ def sobolev_check_zonal(
     dimensional constant is a configuration input.
     """
     n = scene.n
-    st = sphere_state(scene, t)
+    st = scene.state(t)
 
     if which == "curvature_weighted":
         if n < 3:
             raise UnsupportedDimension("curvature_weighted requires n >= 3")
         constant = calibrated_sobolev_constant(n) if c_n is None else float(c_n)
-        exponent = 2.0 * n / (n - 2.0)
-        lp = zonal_integral(lambda th: np.abs(v(th)) ** exponent, scene, t, order)
-        lhs = lp ** ((n - 2.0) / n)
-        grad2 = zonal_integral(
-            lambda th: (v.theta_derivative(th) / st.r) ** 2, scene, t, order
-        )
-        hterm = st.h2 ** ((n + 2.0) / 2.0) * st.vol
-        l2 = zonal_integral(lambda th: v(th) ** 2, scene, t, order)
-        rhs = constant * (grad2 + hterm * l2)
+        lhs, base = _curvature_weighted_sides(scene, t, v, order)
+        rhs = constant * base
         return SobolevReport("curvature_weighted", lhs, rhs, lhs <= rhs * (1 + 1e-12), constant)
 
     if which == "gradient_lower_bound":

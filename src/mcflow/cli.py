@@ -1,7 +1,6 @@
 """Command-line interface.
 
 Exit codes: 0 ok, 2 monitor violation, 3 numerical failure, 4 config error.
-``MCFLOW_THREADS`` caps parallel diagnostic evaluation.
 """
 
 from __future__ import annotations

@@ -31,12 +31,12 @@ from .mesh import (
     element_measures,
     measure_weights,
 )
-from .monitors import SpacetimeAccumulator, lp_norm
+from .monitors import SpacetimeAccumulator, lp_norm, mesh_state_view, scene_state_view
 
 
 @dataclass
 class FlowState:
-    immersion: DiscreteImmersion
+    immersion: DiscreteImmersion  # or an exact SphereScene / SphereProductScene
     t: float = 0.0
     step_index: int = 0
     last_dt: float = 0.0
@@ -87,6 +87,10 @@ class SchemeConfig:
             raise ValidationError("redistribute_every must be >= 0", field="redistribute_every")
 
 
+#: trace fields keyed by a float parameter (p, alpha); JSON keys are strings
+_FLOAT_KEYED = ("aring_p_norms", "st_integral_alpha")
+
+
 @dataclass
 class TraceRecord:
     t: float
@@ -100,17 +104,17 @@ class TraceRecord:
     scheme: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "dt": self.dt,
-            "vol": self.vol,
-            "h2_max": self.h2_max,
-            "h2_min": self.h2_min,
-            "a2_max": self.a2_max,
-            "aring_p_norms": {str(p): v for p, v in self.aring_p_norms.items()},
-            "st_integral_alpha": {str(a): v for a, v in self.st_integral_alpha.items()},
-            "scheme": self.scheme,
-        }
+        out = dict(vars(self))
+        for key in _FLOAT_KEYED:
+            out[key] = {str(k): v for k, v in out[key].items()}
+        return out
+
+    @classmethod
+    def from_json_dict(cls, raw: dict) -> "TraceRecord":
+        fields = dict(raw)
+        for key in _FLOAT_KEYED:
+            fields[key] = {float(k): v for k, v in fields[key].items()}
+        return cls(**fields)
 
 
 @dataclass
@@ -126,7 +130,7 @@ class FlowTrace:
     records: list
     snapshots: list
     final_state: FlowState
-    status: str  # "stopped" | "singular"
+    status: str  # "stopped" | "singular"; a trace read from disk: the MANIFEST status
     stop_reason: str
     intrinsic_dim: int
 
@@ -323,55 +327,64 @@ def run_until(
 ) -> FlowTrace:
     """Advance the flow until the stop rule fires, recording each accepted step.
 
-    Steps shrink as curvature concentrates (dt = cfl / max|A|^2), so the
-    driver approaches the maximal time from below; element collapse ends the
-    run with a ``singular`` verdict instead of surgery.
+    ``state.immersion`` is a mesh or an exact scene.  Steps shrink as
+    curvature concentrates (dt = cfl / max|A|^2), so the driver approaches
+    the maximal time from below; element collapse ends a mesh run with a
+    ``singular`` verdict instead of surgery.  An exact scene is sampled from
+    its closed form, never steps past its collapse time and takes no
+    snapshots.
     """
     monitors = monitors or MonitorParams()
-    imm = state.immersion
-    n = imm.intrinsic_dim
+    body = state.immersion
+    topo = MeshTopology(body) if isinstance(body, DiscreteImmersion) else None
+    if topo is None:
+        n, scheme, snapshot_every = body.n, "analytic", 0
+    else:
+        n, scheme = body.intrinsic_dim, cfg.scheme
     alphas = tuple(monitors.alphas) or (float(n + 2),)
-    topo = MeshTopology(imm)
     accumulators = {a: SpacetimeAccumulator(alpha=a) for a in alphas}
 
     records: list[TraceRecord] = []
     snapshots: list[Snapshot] = []
     status, reason = "stopped", ""
 
+    def snapshot(st: FlowState, view):
+        scalars = {"H2": view.h2, "A2": view.a2, "Aring2": view.aring2, "weight": view.weights}
+        snapshots.append(Snapshot(st.step_index, st.t, st.immersion, scalars))
+
     def observe(st: FlowState, dt: float):
-        _, forms = jet_forms(st.immersion, ring=cfg.ring, topo=topo)
-        weights = measure_weights(st.immersion)
-        aring = np.sqrt(np.clip(forms.aring2, 0.0, None))
-        habs = np.sqrt(np.clip(forms.h2, 0.0, None))
-        for acc in accumulators.values():
-            acc.update(float(weights @ habs ** acc.alpha), dt)
+        if topo is None:
+            forms, view = None, scene_state_view(body, st.t)
+        else:
+            _, forms = jet_forms(st.immersion, ring=cfg.ring, topo=topo)
+            view = mesh_state_view(st.immersion, forms, topo=topo)
+        aring = np.sqrt(np.clip(view.aring2, 0.0, None))
+        habs = np.sqrt(np.clip(view.h2, 0.0, None))
+        integrals = {}
+        for a, acc in accumulators.items():
+            acc.update(float(view.weights @ habs ** a), dt)
+            exact = None if topo is not None else body.spacetime_integral(a, st.t)
+            integrals[a] = acc.value if exact is None else exact
         records.append(
             TraceRecord(
                 t=st.t,
                 dt=dt,
-                vol=float(weights.sum()),
-                h2_max=float(forms.h2.max()),
-                h2_min=float(forms.h2.min()),
-                a2_max=float(forms.a2.max()),
-                aring_p_norms={p: lp_norm(aring, p, weights) for p in monitors.p_list},
-                st_integral_alpha={a: acc.value for a, acc in accumulators.items()},
-                scheme=cfg.scheme,
+                vol=view.vol,
+                h2_max=float(view.h2.max()),
+                h2_min=float(view.h2.min()),
+                a2_max=float(view.a2.max()),
+                aring_p_norms={p: lp_norm(aring, p, view.weights) for p in monitors.p_list},
+                st_integral_alpha=integrals,
+                scheme=scheme,
             )
         )
         if on_record is not None:
             on_record(records[-1])
         if snapshot_every and (st.step_index % snapshot_every == 0 or dt == 0.0):
-            snapshots.append(
-                Snapshot(
-                    st.step_index,
-                    st.t,
-                    st.immersion,
-                    {"H2": forms.h2, "A2": forms.a2, "Aring2": forms.aring2, "weight": weights},
-                )
-            )
-        return forms
+            snapshot(st, view)
+        return forms, view
 
-    forms = observe(state, 0.0)
+    forms, view = observe(state, 0.0)
     accepted = 0
     while True:
         stop = cfg.stop
@@ -391,44 +404,29 @@ def run_until(
         if stop.t_end is not None:
             dt = min(dt, stop.t_end - state.t)
 
-        try:
-            if cfg.scheme == "explicit":
-                state = step_explicit(
-                    state, dt, h_field=forms.mean_curvature, ring=cfg.ring, topo=topo
-                )
-            else:
-                state = step_semi_implicit(state, dt, topo=topo)
-        except StepRejected as exc:
-            status, reason = "singular", f"step rejected: {exc}"
-            break
-
         accepted += 1
-        if (
-            n == 1
-            and cfg.redistribute_every
-            and accepted % cfg.redistribute_every == 0
-        ):
-            state = FlowState(
-                redistribute(state.immersion), state.t, state.step_index, state.last_dt
-            )
-        forms = observe(state, dt)
+        if topo is None:
+            dt = min(dt, 0.5 * (body.collapse_time - state.t))  # never step past collapse
+            state = FlowState(body, state.t + dt, state.step_index + 1, dt)
+        else:
+            try:
+                if cfg.scheme == "explicit":
+                    state = step_explicit(
+                        state, dt, h_field=forms.mean_curvature, ring=cfg.ring, topo=topo
+                    )
+                else:
+                    state = step_semi_implicit(state, dt, topo=topo)
+            except StepRejected as exc:
+                status, reason = "singular", f"step rejected: {exc}"
+                break
+            if n == 1 and cfg.redistribute_every and accepted % cfg.redistribute_every == 0:
+                state = FlowState(
+                    redistribute(state.immersion), state.t, state.step_index, state.last_dt
+                )
+        forms, view = observe(state, dt)
 
     if snapshot_every and (not snapshots or snapshots[-1].step != state.step_index):
-        _, final_forms = jet_forms(state.immersion, ring=cfg.ring, topo=topo)
-        weights = measure_weights(state.immersion)
-        snapshots.append(
-            Snapshot(
-                state.step_index,
-                state.t,
-                state.immersion,
-                {
-                    "H2": final_forms.h2,
-                    "A2": final_forms.a2,
-                    "Aring2": final_forms.aring2,
-                    "weight": weights,
-                },
-            )
-        )
+        snapshot(state, view)
     return FlowTrace(
         records=records,
         snapshots=snapshots,

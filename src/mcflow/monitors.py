@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,10 +155,11 @@ def mesh_state_view(
     with_gradients: bool = False,
 ) -> StateView:
     topo = topo or MeshTopology(imm)
-    if forms is None:
-        _, forms = jet_forms(imm, topo=topo)
-    if deriv is None and with_gradients:
-        frames, _ = jet_forms(imm, topo=topo)
+    fit_gradients = with_gradients and deriv is None
+    if forms is None or fit_gradients:
+        frames, fitted = jet_forms(imm, topo=topo)
+        forms = fitted if forms is None else forms
+    if fit_gradients:
         deriv = derivative_data(imm, frames, forms, topo=topo)
     weights = measure_weights(imm)
     return StateView(
@@ -180,14 +179,7 @@ def mesh_state_view(
 
 def scene_state_view(scene, t: float) -> StateView:
     """Homogeneous view of an exact scene; gradients vanish identically."""
-    if isinstance(scene, analytic.SphereScene):
-        st = analytic.sphere_state(scene, t)
-        diam = math.pi * st.r
-    elif isinstance(scene, analytic.SphereProductScene):
-        st = analytic.sphere_product_state(scene, t)
-        diam = math.pi * math.hypot(st.a, st.b)
-    else:
-        raise TypeError(f"unsupported scene type {type(scene).__name__}")
+    st = scene.state(t)
     one = np.ones(1)
     zero = np.zeros(1)
     return StateView(
@@ -201,7 +193,7 @@ def scene_state_view(scene, t: float) -> StateView:
         grad_a2=zero,
         grad_h2=zero,
         grad_aring2=zero,
-        _diameter=diam,
+        _diameter_fn=lambda: scene.diameter(t),
     )
 
 
@@ -249,15 +241,16 @@ def _chen_report(view: StateView) -> MonitorReport:
 
 
 def _hmax_report(view: StateView) -> MonitorReport:
+    # Chen's bound max|H|^n >= n^n omega_n / Vol, raised to the power 2/n
     n = view.n
-    bound = n ** n * analytic.unit_ball_volume(n) / view.vol
+    bound = (n ** n * analytic.unit_ball_volume(n) / view.vol) ** (2.0 / n)
     peak = float(view.h2.max())
     return MonitorReport(
         name="hmax_lower_bound",
         digest=view.digest,
         values={"h2_max": peak, "bound": bound, "ratio": peak / bound},
         verdict=HOLDS if peak >= bound else VIOLATED,
-        anchor="max|H|^2 >= n^n omega_n / Vol",
+        anchor="max|H|^2 >= (n^n omega_n / Vol)^(2/n)",
     )
 
 
@@ -314,22 +307,12 @@ def _gradient_reports(view: StateView) -> list[MonitorReport]:
 
 def inequality_suite(view: StateView) -> list[MonitorReport]:
     """Chen, peak-|H|^2, diameter ratio, and the two gradient inequalities."""
-    checks = [
-        lambda: _chen_report(view),
-        lambda: _hmax_report(view),
-        lambda: _topping_report(view),
+    return [
+        _chen_report(view),
+        _hmax_report(view),
+        _topping_report(view),
+        *_gradient_reports(view),
     ]
-    reports = _evaluate(checks)
-    reports.extend(_gradient_reports(view))
-    return reports
-
-
-def _evaluate(checks):
-    workers = int(os.environ.get("MCFLOW_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda fn: fn(), checks))
-    return [fn() for fn in checks]
 
 
 def moser_ratio(trace, window: tuple[float, float] | None = None) -> MonitorReport:

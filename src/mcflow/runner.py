@@ -12,15 +12,20 @@ Artifact layout of one run directory::
 from __future__ import annotations
 
 import json
-import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import analytic, monitors as mon, rescale as rsc, scenes
+from . import analytic, rescale as rsc, scenes
 from .config import RunConfig, SceneSpec
-from .curvature import codazzi_residual, derivative_data, gauss_residual, jet_forms
+from .curvature import (
+    FundamentalForms,
+    codazzi_residual,
+    derivative_data,
+    gauss_residual,
+    jet_forms,
+    tracefree_decompose,
+)
 from .errors import (
     McflowError,
     UnknownQuantity,
@@ -30,7 +35,7 @@ from .flow import (
     FlowState,
     FlowTrace,
     MonitorParams,
-    SchemeConfig,
+    Snapshot,
     TraceRecord,
     estimator_discrepancy,
     run_until,
@@ -71,90 +76,6 @@ def _jsonable(value):
 
 
 # ---------------------------------------------------------------------------
-# analytic flow driver
-
-def run_analytic_trace(
-    scene, cfg: SchemeConfig, params: MonitorParams, on_record=None
-) -> FlowTrace:
-    """Sample the closed-form solution on the same step-size policy as the
-    mesh driver; sphere spacetime integrals use the exact formula."""
-    n = scene.n
-    alphas = tuple(params.alphas) or (float(n + 2),)
-    is_sphere = isinstance(scene, analytic.SphereScene)
-
-    def state_at(t):
-        return (
-            analytic.sphere_state(scene, t)
-            if is_sphere
-            else analytic.sphere_product_state(scene, t)
-        )
-
-    integrals = {a: 0.0 for a in alphas}
-    last_integrand = {a: None for a in alphas}
-    records = []
-
-    def observe(t, dt):
-        st = state_at(t)
-        habs = math.sqrt(st.h2)
-        for a in alphas:
-            if is_sphere:
-                integrals[a] = analytic.spacetime_h_integral(scene, a, t)
-            else:
-                value = habs ** a * st.vol
-                if last_integrand[a] is not None and dt > 0:
-                    integrals[a] += 0.5 * dt * (last_integrand[a] + value)
-                last_integrand[a] = value
-        aring_abs = math.sqrt(max(st.aring2, 0.0))
-        records.append(
-            TraceRecord(
-                t=t,
-                dt=dt,
-                vol=st.vol,
-                h2_max=st.h2,
-                h2_min=st.h2,
-                a2_max=st.a2,
-                aring_p_norms={p: aring_abs * st.vol ** (1.0 / p) for p in params.p_list},
-                st_integral_alpha=dict(integrals),
-                scheme="analytic",
-            )
-        )
-        if on_record is not None:
-            on_record(records[-1])
-        return st
-
-    t = 0.0
-    st = observe(t, 0.0)
-    accepted = 0
-    reason = ""
-    while True:
-        stop = cfg.stop
-        if stop.t_end is not None and t >= stop.t_end - 1e-14:
-            reason = "t_end"
-            break
-        if stop.max_a2 is not None and st.a2 >= stop.max_a2:
-            reason = "max_a2"
-            break
-        if stop.step_cap is not None and accepted >= stop.step_cap:
-            reason = "step_cap"
-            break
-        dt = min(cfg.cfl / st.a2, cfg.dt_max)
-        if stop.t_end is not None:
-            dt = min(dt, stop.t_end - t)
-        dt = min(dt, 0.5 * (scene.collapse_time - t))  # never step past collapse
-        t += dt
-        accepted += 1
-        st = observe(t, dt)
-    return FlowTrace(
-        records=records,
-        snapshots=[],
-        final_state=None,
-        status="stopped",
-        stop_reason=reason,
-        intrinsic_dim=n,
-    )
-
-
-# ---------------------------------------------------------------------------
 # the run command
 
 def run(config: RunConfig, out_dir) -> int:
@@ -183,17 +104,13 @@ def run(config: RunConfig, out_dir) -> int:
                 fh.write(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n")
                 fh.flush()
 
-            if config.scene.is_analytic:
-                trace = run_analytic_trace(built, config.scheme, params, on_record=emit)
-            else:
-                state = FlowState(immersion=built)
-                trace = run_until(
-                    state,
-                    config.scheme,
-                    params,
-                    snapshot_every=config.snapshot_every,
-                    on_record=emit,
-                )
+            trace = run_until(
+                FlowState(immersion=built),
+                config.scheme,
+                params,
+                snapshot_every=config.snapshot_every,
+                on_record=emit,
+            )
         reports, summary = _final_reports(config, built, trace)
         if trace.snapshots:
             _write_snapshots(trace, snap_dir)
@@ -289,38 +206,11 @@ def _final_reports(config: RunConfig, built, trace: FlowTrace):
 
 def read_trace_records(trace_dir) -> list[TraceRecord]:
     path = os.path.join(str(trace_dir), "trace.ndjson")
-    records = []
     with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            raw = json.loads(line)
-            records.append(
-                TraceRecord(
-                    t=raw["t"],
-                    dt=raw["dt"],
-                    vol=raw["vol"],
-                    h2_max=raw["h2_max"],
-                    h2_min=raw["h2_min"],
-                    a2_max=raw["a2_max"],
-                    aring_p_norms={float(k): v for k, v in raw["aring_p_norms"].items()},
-                    st_integral_alpha={
-                        float(k): v for k, v in raw["st_integral_alpha"].items()
-                    },
-                    scheme=raw["scheme"],
-                )
-            )
-    return records
+        return [TraceRecord.from_json_dict(json.loads(line)) for line in fh if line.strip()]
 
 
-@dataclass
-class _DiskTrace:
-    records: list
-    snapshots: list
-    intrinsic_dim: int
-
-
-def load_trace(trace_dir):
+def load_trace(trace_dir) -> FlowTrace:
     """Records plus snapshots of a finished run directory."""
     trace_dir = str(trace_dir)
     records = read_trace_records(trace_dir)
@@ -337,14 +227,19 @@ def load_trace(trace_dir):
     if os.path.exists(index_path):
         with open(index_path) as fh:
             index = json.load(fh)
-        from .flow import Snapshot
-
         for entry in index:
             imm, scalars = read_snapshot(
                 os.path.join(trace_dir, "snapshots", entry["file"]), intrinsic_dim=n
             )
             snapshots.append(Snapshot(entry["step"], entry["t"], imm, scalars))
-    return _DiskTrace(records=records, snapshots=snapshots, intrinsic_dim=n)
+    return FlowTrace(
+        records=records,
+        snapshots=snapshots,
+        final_state=None,
+        status=manifest["status"],
+        stop_reason="",
+        intrinsic_dim=n,
+    )
 
 
 def rescale_trace(trace_dir, T_hat=None, center=None, out_dir=None) -> dict:
@@ -422,39 +317,33 @@ def emit_plotdata(trace_dir, quantities, out_dir=None) -> str:
 # ---------------------------------------------------------------------------
 # check suites
 
-def _identity_reports(name: str, scene_or_imm, refine_pair=None) -> list[MonitorReport]:
+def _identity_reports(name: str, body) -> list[MonitorReport]:
     """Tracefree-trace and norm-decomposition identities (hard 1e-12 checks),
     plus informational structural residuals."""
     reports = []
-    if isinstance(scene_or_imm, DiscreteImmersion):
-        imm = scene_or_imm
-        topo = MeshTopology(imm)
-        frames, forms = jet_forms(imm, topo=topo)
-        n = imm.intrinsic_dim
-        trace_comp = np.einsum("vkaa->vk", forms.aring)
-        scale = np.maximum(np.sqrt(forms.a2)[:, None], 1e-300)
-        trace_rel = float(np.abs(trace_comp / scale).max())
-        decomp_rel = float(
-            (np.abs(forms.a2 - forms.aring2 - forms.h2 / n) / np.maximum(forms.a2, 1e-300)).max()
-        )
-        gauss = float(np.abs(gauss_residual(imm, forms, topo)).mean())
-        deriv = derivative_data(imm, frames, forms, topo=topo)
+    if isinstance(body, DiscreteImmersion):
+        topo = MeshTopology(body)
+        frames, forms = jet_forms(body, topo=topo)
+        n = body.intrinsic_dim
+        gauss = float(np.abs(gauss_residual(body, forms, topo)).mean())
+        deriv = derivative_data(body, frames, forms, topo=topo)
         codazzi = float(codazzi_residual(deriv).mean())
-        digest = mon.mesh_state_view(imm, forms, topo=topo).digest
+        digest = mesh_state_view(body, forms, topo=topo).digest
     else:
-        scene = scene_or_imm
-        h = analytic.scene_form_components(scene, 0.0)
-        n = scene.n
-        trace_comp = np.einsum("kaa->k", h - np.trace(h, axis1=1, axis2=2)[:, None, None] * np.eye(n) / n)
-        a2 = float(np.einsum("kab,kab->", h, h))
-        tr = np.trace(h, axis1=1, axis2=2)
-        h2 = float(tr @ tr)
-        aring = h - tr[:, None, None] * np.eye(n) / n
-        aring2 = float(np.einsum("kab,kab->", aring, aring))
-        trace_rel = float(np.abs(trace_comp).max() / max(math.sqrt(a2), 1e-300))
-        decomp_rel = abs(a2 - aring2 - h2 / n) / max(a2, 1e-300)
+        # the exact scene as one homogeneous point of the same field layout
+        h = body.form_components(0.0)[None]
+        forms = tracefree_decompose(
+            FundamentalForms(h=h, mean_curvature=None, aring=None, a2=None, h2=None, aring2=None)
+        )
+        n = body.n
         gauss = codazzi = 0.0
-        digest = mon.scene_state_view(scene, 0.0).digest
+        digest = scene_state_view(body, 0.0).digest
+    trace_comp = np.einsum("vkaa->vk", forms.aring)
+    scale = np.maximum(np.sqrt(forms.a2)[:, None], 1e-300)
+    trace_rel = float(np.abs(trace_comp / scale).max())
+    decomp_rel = float(
+        (np.abs(forms.a2 - forms.aring2 - forms.h2 / n) / np.maximum(forms.a2, 1e-300)).max()
+    )
 
     reports.append(
         MonitorReport(
@@ -531,37 +420,6 @@ def check_suite(suite: str, scene: SceneSpec | None = None, fast: bool = True):
 
 def oracle_record(scene: SceneSpec, t: float) -> dict:
     """Closed-form state of an analytic scene as a JSON-ready record."""
-    built = scene.build()
-    if isinstance(built, analytic.SphereScene):
-        st = analytic.sphere_state(built, t)
-        rec = {
-            "kind": "sphere",
-            "t": t,
-            "r": st.r,
-            "h2": st.h2,
-            "a2": st.a2,
-            "aring2": st.aring2,
-            "vol": st.vol,
-            "T": st.T,
-            "spacetime_norm_n_plus_2": analytic.spacetime_h_norm_closed_form(
-                built, float(built.n + 2), t
-            )
-            if t > 0
-            else 0.0,
-        }
-    elif isinstance(built, analytic.SphereProductScene):
-        st = analytic.sphere_product_state(built, t)
-        rec = {
-            "kind": "sphere_product",
-            "t": t,
-            "a": st.a,
-            "b": st.b,
-            "h2": st.h2,
-            "a2": st.a2,
-            "aring2": st.aring2,
-            "vol": st.vol,
-            "T": st.T,
-        }
-    else:
+    if not scene.is_analytic:
         raise ValidationError("oracle requires an analytic scene", field="scene")
-    return rec
+    return scene.build().oracle_record(t)

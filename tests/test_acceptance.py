@@ -16,7 +16,6 @@ from mcflow.analytic import (
     SphereProductScene,
     SphereScene,
     hoffman_spruck_constant,
-    scene_form_components,
     sphere_product_state,
     sphere_state,
     unit_sphere_area,
@@ -172,7 +171,7 @@ def test_criterion_04_spacetime_integral_oracle(sphere_oracle_runs):
 def test_criterion_05_blowup_estimator(sphere_oracle_runs):
     scene = SphereScene(n=2, r0=1.0)
     cfg = SchemeConfig(cfl=0.05, stop=StopRule(t_end=0.2))
-    analytic_trace = runner.run_analytic_trace(scene, cfg, MonitorParams())
+    analytic_trace = run_until(FlowState(immersion=scene), cfg, MonitorParams())
     est0 = analytic_trace.records[0]
     exact0 = est0.t + 2.0 / (2.0 * est0.h2_max)
     mesh_est = blowup_estimate(sphere_oracle_runs["r3"])["T_hat_stabilized"]
@@ -201,7 +200,7 @@ def test_criterion_06_identity_suite():
         decomp = np.abs(forms.a2 - forms.aring2 - forms.h2 / imm.intrinsic_dim)
         worst_decomp = max(worst_decomp, float((decomp / forms.a2).max()))
     product = SphereProductScene(p=2, q=1)
-    h = scene_form_components(product, 0.0)
+    h = product.form_components(0.0)
     tr = np.trace(h, axis1=1, axis2=2)
     aring = h - tr[:, None, None] * np.eye(3) / 3
     a2 = float(np.einsum("kab,kab->", h, h))

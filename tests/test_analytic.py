@@ -12,8 +12,6 @@ from mcflow.analytic import (
     ZonalFunction,
     calibrated_sobolev_constant,
     hoffman_spruck_constant,
-    quadratic_growth_threshold,
-    scene_form_components,
     sobolev_check_zonal,
     spacetime_h_integral,
     spacetime_h_norm_closed_form,
@@ -153,12 +151,8 @@ class TestSceneFormComponents:
     )
     def test_tensor_scalars_match_state(self, scene):
         t = 0.3 * scene.collapse_time
-        h = scene_form_components(scene, t)
-        st_ = (
-            sphere_state(scene, t)
-            if isinstance(scene, SphereScene)
-            else sphere_product_state(scene, t)
-        )
+        h = scene.form_components(t)
+        st_ = scene.state(t)
         tr = np.trace(h, axis1=1, axis2=2)
         assert float(np.einsum("kab,kab->", h, h)) == pytest.approx(st_.a2, rel=1e-13)
         assert float(tr @ tr) == pytest.approx(st_.h2, rel=1e-13)
@@ -355,15 +349,15 @@ class TestEvolutionThreshold:
     def test_sphere_threshold_is_two(self):
         scene = SphereScene(n=2, r0=1.0)
         for t in (0.0, 0.1, 0.2):
-            assert quadratic_growth_threshold(scene, t) == pytest.approx(2.0, rel=1e-12)
-        assert quadratic_growth_threshold(SphereScene(n=5, r0=2.0), 0.3) == pytest.approx(
+            assert scene.quadratic_growth_threshold(t) == pytest.approx(2.0, rel=1e-12)
+        assert SphereScene(n=5, r0=2.0).quadratic_growth_threshold(0.3) == pytest.approx(
             2.0, rel=1e-12
         )
 
     def test_product_threshold_hand_value(self):
         scene = SphereProductScene(p=1, q=1, a0=1.0, b0=1.0)
         # u = 2, du/dt = 4 at t = 0
-        assert quadratic_growth_threshold(scene, 0.0) == pytest.approx(1.0, rel=1e-13)
+        assert scene.quadratic_growth_threshold(0.0) == pytest.approx(1.0, rel=1e-13)
 
 
 class TestFlowConsistency:
@@ -372,13 +366,11 @@ class TestFlowConsistency:
         [SphereScene(n=2, r0=1.0), SphereScene(n=3, r0=1.4), SphereProductScene(p=2, q=1)],
     )
     def test_volume_decay_matches_h2_integral(self, scene):
-        is_sphere = isinstance(scene, SphereScene)
-        state = sphere_state if is_sphere else sphere_product_state
         T = scene.collapse_time
         for frac in (0.1, 0.4, 0.6):
             t = frac * T
             dt = 1e-5 * T
-            dvol = (state(scene, t + dt).vol - state(scene, t - dt).vol) / (2 * dt)
-            st_ = state(scene, t)
+            dvol = (scene.state(t + dt).vol - scene.state(t - dt).vol) / (2 * dt)
+            st_ = scene.state(t)
             flux = -st_.h2 * st_.vol  # |H| is constant on these scenes
             assert dvol == pytest.approx(flux, rel=1e-10)

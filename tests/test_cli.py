@@ -9,6 +9,7 @@ from mcflow import cli, runner
 from mcflow.analytic import SphereScene, sphere_state, spacetime_h_norm_closed_form
 from mcflow.config import config_from_dict, load_config, parse_scene
 from mcflow.errors import ParseError, UnknownQuantity, ValidationError
+from mcflow.flow import FlowTrace
 from mcflow.mesh import write_snapshot
 from mcflow.monitors import VIOLATED
 from mcflow.scenes import icosphere
@@ -127,6 +128,17 @@ class TestRun:
         reports = json.loads((tmp_path / "run3" / "monitors.json").read_text())
         verdicts = {r["name"]: r["verdict"] for r in reports}
         assert verdicts["pinching_linear"] == VIOLATED
+
+    def test_load_trace_reads_manifest_status(self, tmp_path):
+        raw = {"scene": {"kind": "analytic_sphere", "n": 2}, "stop": {"step_cap": 5}}
+        out = tmp_path / "run4"
+        assert runner.run(config_from_dict(raw), out) == 0
+        trace = runner.load_trace(out)
+        assert isinstance(trace, FlowTrace)
+        assert trace.status == "complete"
+        assert trace.final_state is None
+        assert len(trace.records) == 6 and trace.snapshots == []
+        assert trace.records == runner.read_trace_records(out)
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # ring-1 stencils on a tetrahedron underdetermine the jet fit

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_rotation
+from mcflow.analytic import SphereProductScene, SphereScene
 from mcflow.curvature import jet_forms
 from mcflow.errors import (
     MaxStepsExceeded,
@@ -18,6 +20,7 @@ from mcflow.flow import (
     MonitorParams,
     SchemeConfig,
     StopRule,
+    TraceRecord,
     estimator_discrepancy,
     laplace_mean_curvature,
     redistribute,
@@ -173,6 +176,24 @@ class TestRunUntil:
         with pytest.raises(MaxStepsExceeded):
             run_until(FlowState(immersion=imm), cfg)
 
+    def test_exact_scene_past_collapse_hits_max_steps(self):
+        # the collapse clip halves dt toward T = 0.25, so t_end = 0.5 never
+        # fires; the step guard must end the run
+        cfg = SchemeConfig(stop=StopRule(t_end=0.5), max_steps=500)
+        with pytest.raises(MaxStepsExceeded):
+            run_until(FlowState(immersion=SphereScene(n=2)), cfg)
+
+    @pytest.mark.parametrize("scene", [SphereScene(n=1, d=2), SphereProductScene(p=2, q=1)])
+    def test_exact_scene_stays_before_collapse(self, scene):
+        cfg = SchemeConfig(cfl=0.05, redistribute_every=3, stop=StopRule(step_cap=60))
+        trace = run_until(FlowState(immersion=scene), cfg, snapshot_every=1)
+        assert trace.stop_reason == "step_cap"
+        assert trace.snapshots == []
+        assert trace.final_state.immersion is scene
+        assert all(r.scheme == "analytic" for r in trace.records)
+        assert 0.0 < trace.records[-1].t < scene.collapse_time
+        assert trace.records[-1].h2_max == scene.state(trace.records[-1].t).h2
+
     def test_discrete_volume_decay_identity(self, icosphere4):
         # per-step |dVol/dt + integral(|H|^2)| <= 5% of the integral
         params = MonitorParams(alphas=(2.0, 4.0))
@@ -296,3 +317,22 @@ class TestSchemeConfigValidation:
     def test_unknown_scheme(self):
         with pytest.raises(ValidationError):
             SchemeConfig(scheme="leapfrog", stop=StopRule(step_cap=1))
+
+
+class TestTraceRecordSchema:
+    @settings(max_examples=25, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False), min_size=12, max_size=12))
+    def test_json_round_trip(self, values):
+        rec = TraceRecord(
+            t=values[0],
+            dt=values[1],
+            vol=values[2],
+            h2_max=values[3],
+            h2_min=values[4],
+            a2_max=values[5],
+            aring_p_norms=dict(zip((1.0, 2.0, 4.0), values[6:9])),
+            st_integral_alpha=dict(zip((4.0, 5.0, 6.0), values[9:12])),
+            scheme="semi_implicit",
+        )
+        line = json.dumps(rec.to_json_dict(), sort_keys=True)
+        assert TraceRecord.from_json_dict(json.loads(line)) == rec

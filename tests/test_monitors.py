@@ -9,6 +9,8 @@ from mcflow.analytic import (
     SphereProductScene,
     SphereScene,
     spacetime_h_integral,
+    unit_ball_volume,
+    unit_sphere_area,
 )
 from mcflow.errors import UnsupportedDimension, WindowNotCovered
 from mcflow.flow import FlowTrace, TraceRecord
@@ -27,8 +29,7 @@ from mcflow.monitors import (
     pinching_linear,
     scene_state_view,
 )
-from mcflow.runner import run_analytic_trace
-from mcflow.flow import MonitorParams, SchemeConfig, StopRule
+from mcflow.flow import FlowState, MonitorParams, SchemeConfig, StopRule, run_until
 from mcflow.scenes import icosphere
 
 
@@ -39,7 +40,7 @@ def synthetic_sphere_trace(n=2, r0=1.0, steps=400, t_frac=0.9):
         cfl=math.inf, dt_max=t_frac * scene.collapse_time / steps,
         stop=StopRule(t_end=t_frac * scene.collapse_time),
     )
-    return scene, run_analytic_trace(scene, cfg, MonitorParams())
+    return scene, run_until(FlowState(immersion=scene), cfg, MonitorParams())
 
 
 class TestLpNorm:
@@ -183,6 +184,38 @@ class TestInequalitySuite:
             reports = {r.name: r for r in inequality_suite(view)}
             assert reports["gradient_a_vs_aring"].verdict == HOLDS
             assert reports["gradient_h_vs_aring"].verdict == HOLDS
+
+    @pytest.mark.parametrize("frac", [0.0, 0.8, 0.99])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_hmax_bound_holds_on_round_spheres(self, n, frac):
+        # |H|^n Vol = n^n |S^n| on every round sphere, so the ratio of
+        # max|H|^2 to (n^n omega_n / Vol)^(2/n) is (|S^n| / omega_n)^(2/n) at all t
+        scene = SphereScene(n=n, r0=0.9)
+        view = scene_state_view(scene, frac * scene.collapse_time)
+        hmax = {r.name: r for r in inequality_suite(view)}["hmax_lower_bound"]
+        assert hmax.verdict == HOLDS
+        want = (unit_sphere_area(n) / unit_ball_volume(n)) ** (2.0 / n)
+        assert hmax.values["ratio"] == pytest.approx(want, rel=1e-12)
+
+    def test_hmax_bound_holds_on_s2xs1(self):
+        view = scene_state_view(SphereProductScene(p=2, q=1), 0.0)
+        hmax = {r.name: r for r in inequality_suite(view)}["hmax_lower_bound"]
+        assert hmax.verdict == HOLDS
+
+    def test_gradient_view_fits_once(self, monkeypatch):
+        from mcflow import monitors
+
+        calls = []
+        fit = monitors.jet_forms
+
+        def counting_fit(*args, **kwargs):
+            calls.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(monitors, "jet_forms", counting_fit)
+        view = mesh_state_view(icosphere(subdiv=2), with_gradients=True)
+        assert len(calls) == 1
+        assert view.grad_a2 is not None
 
     def test_diameter_of_circle_graph(self):
         from mcflow.scenes import polygon_circle

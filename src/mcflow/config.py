@@ -229,6 +229,13 @@ def config_from_dict(raw: dict) -> RunConfig:
         max_a2=stop_raw.get("maxA2"),
         step_cap=stop_raw.get("step_cap"),
     )
+    if scene.is_analytic and stop.t_end is not None:
+        collapse = scene.build().collapse_time
+        if stop.t_end >= collapse:
+            raise ValidationError(
+                f"t_end={stop.t_end:g} is not before the collapse time {collapse:g}",
+                field="stop.t_end",
+            )
 
     scheme_raw = dict(raw.get("scheme", {}))
     _reject_unknown(

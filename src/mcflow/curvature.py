@@ -24,7 +24,7 @@ from .errors import (
     NeighborhoodRankDeficient,
     UnsupportedDimension,
 )
-from .mesh import DiscreteImmersion, MeshTopology, angle_defects, measure_weights
+from .mesh import DiscreteImmersion, angle_defects, measure_weights
 
 #: conditioning threshold on the normal equations of the local fits
 CONDITION_LIMIT = 1e12
@@ -81,13 +81,10 @@ def _fix_signs(basis: np.ndarray) -> np.ndarray:
     return (flat * signs[:, None]).reshape(basis.shape)
 
 
-def build_frames(
-    imm: DiscreteImmersion, ring: int = DEFAULT_RING, topo: MeshTopology | None = None
-) -> FrameField:
+def build_frames(imm: DiscreteImmersion, ring: int = DEFAULT_RING) -> FrameField:
     """Tangent/normal frames from PCA of the centered ring neighborhoods."""
-    topo = topo or MeshTopology(imm)
     n = imm.intrinsic_dim
-    idx, mask = topo.ring_neighborhoods(ring)
+    idx, mask = imm.topology.ring_neighborhoods(ring)
     counts = mask.sum(axis=1)
     if counts.min() < n + 1:
         raise NeighborhoodRankDeficient("neighborhood smaller than n+1 points")
@@ -171,10 +168,7 @@ def _weighted_lstsq(design, rhs, theta, what):
 
 
 def second_fundamental_form(
-    imm: DiscreteImmersion,
-    frames: FrameField,
-    ring: int = DEFAULT_RING,
-    topo: MeshTopology | None = None,
+    imm: DiscreteImmersion, frames: FrameField, ring: int = DEFAULT_RING
 ) -> FundamentalForms:
     """Moving-least-squares quadratic fit of the normal graph at each vertex.
 
@@ -182,10 +176,9 @@ def second_fundamental_form(
     trace assembled on the normal frame, which points toward the center on a
     sphere so that the flow shrinks it.
     """
-    topo = topo or MeshTopology(imm)
     n = imm.intrinsic_dim
     d = imm.codim
-    idx, mask = topo.ring_neighborhoods(ring)
+    idx, mask = imm.topology.ring_neighborhoods(ring)
     u, wcoord, theta, sigma = _local_coordinates(imm, frames, idx, mask)
 
     design = _quadratic_basis(u, n)
@@ -266,7 +259,6 @@ def derivative_data(
     frames: FrameField,
     forms: FundamentalForms,
     ring: int = DEFAULT_RING,
-    topo: MeshTopology | None = None,
 ) -> DerivativeData:
     """Least-squares estimate of the first covariant derivative of the form.
 
@@ -274,11 +266,10 @@ def derivative_data(
     fitting an affine model in the tangent coordinates; the slopes are the
     h^alpha_ijk.
     """
-    topo = topo or MeshTopology(imm)
     n = imm.intrinsic_dim
     d = imm.codim
     nv = imm.num_vertices
-    idx, mask = topo.ring_neighborhoods(ring)
+    idx, mask = imm.topology.ring_neighborhoods(ring)
     u, _, theta, sigma = _local_coordinates(imm, frames, idx, mask)
     width = idx.shape[1]
 
@@ -334,11 +325,7 @@ def codazzi_residual(deriv: DerivativeData) -> np.ndarray:
     return diff.reshape(diff.shape[0], -1).max(axis=1)
 
 
-def gauss_residual(
-    imm: DiscreteImmersion,
-    forms: FundamentalForms,
-    topo: MeshTopology | None = None,
-) -> np.ndarray:
+def gauss_residual(imm: DiscreteImmersion, forms: FundamentalForms) -> np.ndarray:
     """Intrinsic sectional curvature minus the extrinsic form product.
 
     For n=2 the intrinsic side is the angle defect over the barycentric
@@ -356,11 +343,8 @@ def gauss_residual(
 
 
 def jet_forms(
-    imm: DiscreteImmersion,
-    ring: int = DEFAULT_RING,
-    topo: MeshTopology | None = None,
+    imm: DiscreteImmersion, ring: int = DEFAULT_RING
 ) -> tuple[FrameField, FundamentalForms]:
     """Convenience pipeline: frames then second fundamental form."""
-    topo = topo or MeshTopology(imm)
-    frames = build_frames(imm, ring=ring, topo=topo)
-    return frames, second_fundamental_form(imm, frames, ring=ring, topo=topo)
+    frames = build_frames(imm, ring=ring)
+    return frames, second_fundamental_form(imm, frames, ring=ring)

@@ -25,12 +25,7 @@ from .errors import (
     UnsupportedDimension,
     ValidationError,
 )
-from .mesh import (
-    DiscreteImmersion,
-    MeshTopology,
-    element_measures,
-    measure_weights,
-)
+from .mesh import DiscreteImmersion, element_measures, measure_weights
 from .monitors import SpacetimeAccumulator, lp_norm, mesh_state_view, scene_state_view
 
 
@@ -194,7 +189,7 @@ def laplace_mean_curvature(imm: DiscreteImmersion) -> np.ndarray:
     return -(stiffness @ imm.vertices) / mass[:, None]
 
 
-def estimator_discrepancy(imm, forms, topo=None) -> float:
+def estimator_discrepancy(imm, forms) -> float:
     """Median relative gap between the jet-fit and Laplace-Beltrami H fields."""
     h_lb = laplace_mean_curvature(imm)
     diff = np.linalg.norm(h_lb - forms.mean_curvature, axis=1)
@@ -216,24 +211,17 @@ def step_explicit(
     state: FlowState,
     dt: float,
     h_field: np.ndarray | None = None,
-    h_source: str = "jet",
     ring: int = DEFAULT_RING,
-    topo: MeshTopology | None = None,
 ) -> FlowState:
     """Forward Euler: move vertices by dt * H.
 
-    ``h_source`` selects the estimator ("jet" default, "laplace" for
-    same-operator comparisons against the implicit scheme).
+    ``h_field`` defaults to the jet-fit H; pass ``laplace_mean_curvature``
+    for same-operator comparisons against the implicit scheme.
     """
     imm = state.immersion
     if h_field is None:
-        if h_source == "jet":
-            _, forms = jet_forms(imm, ring=ring, topo=topo)
-            h_field = forms.mean_curvature
-        elif h_source == "laplace":
-            h_field = laplace_mean_curvature(imm)
-        else:
-            raise ValidationError(f"unknown h_source {h_source!r}", field="h_source")
+        _, forms = jet_forms(imm, ring=ring)
+        h_field = forms.mean_curvature
     try:
         new = _checked(imm, imm.vertices + dt * h_field)
     except Exception as exc:
@@ -241,9 +229,7 @@ def step_explicit(
     return FlowState(new, state.t + dt, state.step_index + 1, dt)
 
 
-def step_semi_implicit(
-    state: FlowState, dt: float, topo: MeshTopology | None = None
-) -> FlowState:
+def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
     """Backward Euler on the frozen-metric Laplacian: (M + dt*S) X_new = M X_old.
 
     Unconditionally stable and first-order consistent; each ambient
@@ -284,9 +270,8 @@ def redistribute(imm: DiscreteImmersion) -> DiscreteImmersion:
         raise UnsupportedDimension("redistribution implemented for curves only")
     if not imm.closed:
         raise ValidationError("redistribution requires a closed curve", field="closed")
-    topo = MeshTopology(imm)
     vertices = imm.vertices.copy()
-    for cycle in topo.cycles():
+    for cycle in imm.topology.cycles():
         pts = imm.vertices[cycle]
         closed_pts = np.vstack([pts, pts[:1]])
         seg = np.linalg.norm(np.diff(closed_pts, axis=0), axis=1)
@@ -336,11 +321,11 @@ def run_until(
     """
     monitors = monitors or MonitorParams()
     body = state.immersion
-    topo = MeshTopology(body) if isinstance(body, DiscreteImmersion) else None
-    if topo is None:
-        n, scheme, snapshot_every = body.n, "analytic", 0
-    else:
+    mesh = isinstance(body, DiscreteImmersion)
+    if mesh:
         n, scheme = body.intrinsic_dim, cfg.scheme
+    else:
+        n, scheme, snapshot_every = body.n, "analytic", 0
     alphas = tuple(monitors.alphas) or (float(n + 2),)
     accumulators = {a: SpacetimeAccumulator(alpha=a) for a in alphas}
 
@@ -353,17 +338,17 @@ def run_until(
         snapshots.append(Snapshot(st.step_index, st.t, st.immersion, scalars))
 
     def observe(st: FlowState, dt: float):
-        if topo is None:
-            forms, view = None, scene_state_view(body, st.t)
+        if mesh:
+            _, forms = jet_forms(st.immersion, ring=cfg.ring)
+            view = mesh_state_view(st.immersion, forms)
         else:
-            _, forms = jet_forms(st.immersion, ring=cfg.ring, topo=topo)
-            view = mesh_state_view(st.immersion, forms, topo=topo)
+            forms, view = None, scene_state_view(body, st.t)
         aring = np.sqrt(np.clip(view.aring2, 0.0, None))
         habs = np.sqrt(np.clip(view.h2, 0.0, None))
         integrals = {}
         for a, acc in accumulators.items():
             acc.update(float(view.weights @ habs ** a), dt)
-            exact = None if topo is not None else body.spacetime_integral(a, st.t)
+            exact = None if mesh else body.spacetime_integral(a, st.t)
             integrals[a] = acc.value if exact is None else exact
         records.append(
             TraceRecord(
@@ -405,17 +390,12 @@ def run_until(
             dt = min(dt, stop.t_end - state.t)
 
         accepted += 1
-        if topo is None:
-            dt = min(dt, 0.5 * (body.collapse_time - state.t))  # never step past collapse
-            state = FlowState(body, state.t + dt, state.step_index + 1, dt)
-        else:
+        if mesh:
             try:
                 if cfg.scheme == "explicit":
-                    state = step_explicit(
-                        state, dt, h_field=forms.mean_curvature, ring=cfg.ring, topo=topo
-                    )
+                    state = step_explicit(state, dt, h_field=forms.mean_curvature)
                 else:
-                    state = step_semi_implicit(state, dt, topo=topo)
+                    state = step_semi_implicit(state, dt)
             except StepRejected as exc:
                 status, reason = "singular", f"step rejected: {exc}"
                 break
@@ -423,6 +403,9 @@ def run_until(
                 state = FlowState(
                     redistribute(state.immersion), state.t, state.step_index, state.last_dt
                 )
+        else:
+            dt = min(dt, 0.5 * (body.collapse_time - state.t))  # never step past collapse
+            state = FlowState(body, state.t + dt, state.step_index + 1, dt)
         forms, view = observe(state, dt)
 
     if snapshot_every and (not snapshots or snapshots[-1].step != state.step_index):

@@ -7,7 +7,9 @@ instances are safe to share read-only across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +26,8 @@ class DiscreteImmersion:
 
     ``elements`` holds segment pairs for n=1 and oriented triangles for n=2.
     ``closed`` asserts cycle/watertight connectivity and is validated.
+    Construction validates everything; ``with_vertices`` keeps the elements
+    and the connectivity caches (``topology``) and re-checks only geometry.
     """
 
     vertices: np.ndarray
@@ -48,8 +52,23 @@ class DiscreteImmersion:
     def num_vertices(self) -> int:
         return self.vertices.shape[0]
 
+    @functools.cached_property
+    def topology(self) -> "MeshTopology":
+        return MeshTopology(self)
+
     def with_vertices(self, vertices: np.ndarray) -> "DiscreteImmersion":
-        return replace(self, vertices=vertices)
+        """Same connectivity, new positions; shares ``topology`` with self."""
+        expected = self.topology.num_vertices
+        new = copy.copy(self)
+        new.vertices = np.ascontiguousarray(vertices, dtype=float)
+        _check_coordinates(new)
+        # the elements reference every one of the old vertices exactly
+        if new.num_vertices < expected:
+            raise InvalidImmersion("element index out of range")
+        if new.num_vertices > expected:
+            raise InvalidImmersion("every vertex must appear in at least one element")
+        _check_measures(new)
+        return new
 
     def transformed(self, rotation=None, translation=None, scale=1.0):
         x = self.vertices * scale
@@ -61,13 +80,11 @@ class DiscreteImmersion:
 
 
 def validate_immersion(imm: DiscreteImmersion) -> None:
+    """Full check of a freshly built immersion: connectivity and geometry."""
     n = imm.intrinsic_dim
     if n not in (1, 2):
         raise UnsupportedDimension(f"intrinsic dimension {n} not supported")
-    if imm.vertices.ndim != 2 or imm.vertices.shape[1] < n + 1:
-        raise InvalidImmersion("ambient dimension must be at least n+1")
-    if not np.isfinite(imm.vertices).all():
-        raise InvalidImmersion("non-finite vertex coordinates")
+    _check_coordinates(imm)
     if imm.elements.ndim != 2 or imm.elements.shape[1] != n + 1:
         raise InvalidImmersion(f"elements must have {n + 1} vertices each")
     nv = imm.num_vertices
@@ -81,12 +98,7 @@ def validate_immersion(imm: DiscreteImmersion) -> None:
     if not referenced.all():
         raise InvalidImmersion("every vertex must appear in at least one element")
 
-    measures = element_measures(imm)
-    small = measures <= DEGENERATE_TOL * measures.mean()
-    if small.any():
-        raise DegenerateElement(
-            f"{int(small.sum())} element(s) below the degeneracy tolerance"
-        )
+    _check_measures(imm)
 
     if n == 1:
         degrees = np.bincount(imm.elements.ravel(), minlength=nv)
@@ -100,9 +112,31 @@ def validate_immersion(imm: DiscreteImmersion) -> None:
         _check_surface_edges(imm)
 
 
+def _check_coordinates(imm: DiscreteImmersion) -> None:
+    if imm.vertices.ndim != 2 or imm.vertices.shape[1] < imm.intrinsic_dim + 1:
+        raise InvalidImmersion("ambient dimension must be at least n+1")
+    if not np.isfinite(imm.vertices).all():
+        raise InvalidImmersion("non-finite vertex coordinates")
+
+
+def _check_measures(imm: DiscreteImmersion) -> None:
+    measures = element_measures(imm)
+    small = measures <= DEGENERATE_TOL * measures.mean()
+    if small.any():
+        raise DegenerateElement(
+            f"{int(small.sum())} element(s) below the degeneracy tolerance"
+        )
+
+
+def _directed_edges(elements: np.ndarray) -> np.ndarray:
+    """Oriented edges: the segments themselves, or the three sides of each triangle."""
+    if elements.shape[1] == 2:
+        return elements
+    return np.concatenate([elements[:, [0, 1]], elements[:, [1, 2]], elements[:, [2, 0]]])
+
+
 def _check_surface_edges(imm: DiscreteImmersion) -> None:
-    tri = imm.elements
-    directed = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
+    directed = _directed_edges(imm.elements)
     keys = directed[:, 0] * imm.num_vertices + directed[:, 1]
     if len(np.unique(keys)) != len(keys):
         raise InvalidImmersion("inconsistent orientation: repeated directed edge")
@@ -134,10 +168,7 @@ def element_measures(imm: DiscreteImmersion) -> np.ndarray:
 
 def measure_weights(imm: DiscreteImmersion) -> np.ndarray:
     """Barycentric lumped vertex measure; sums to total length/area."""
-    measures = element_measures(imm)
-    small = measures <= DEGENERATE_TOL * measures.mean()
-    if small.any():
-        raise DegenerateElement("degenerate element in measure computation")
+    measures = element_measures(imm)  # construction and with_vertices reject degenerate ones
     share = measures / (imm.intrinsic_dim + 1)
     weights = np.zeros(imm.num_vertices)
     np.add.at(weights, imm.elements.ravel(), np.repeat(share, imm.intrinsic_dim + 1))
@@ -175,18 +206,9 @@ class MeshTopology:
         self.intrinsic_dim = imm.intrinsic_dim
         self.num_vertices = imm.num_vertices
         self.elements = imm.elements
-        self._neighbors = _adjacency_lists(imm.elements, imm.num_vertices)
+        self.edges = np.unique(np.sort(_directed_edges(imm.elements), axis=1), axis=0)
+        self._neighbors = _adjacency_lists(self.edges, imm.num_vertices)
         self._ring_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        if imm.intrinsic_dim == 2:
-            und = np.sort(
-                np.concatenate(
-                    [imm.elements[:, [0, 1]], imm.elements[:, [1, 2]], imm.elements[:, [2, 0]]]
-                ),
-                axis=1,
-            )
-            self.edges = np.unique(und, axis=0)
-        else:
-            self.edges = np.unique(np.sort(imm.elements, axis=1), axis=0)
 
     def neighbors(self, v: int) -> np.ndarray:
         return self._neighbors[v]
@@ -250,14 +272,8 @@ class MeshTopology:
         return out
 
 
-def _adjacency_lists(elements: np.ndarray, nv: int) -> list[np.ndarray]:
-    pairs = []
-    k = elements.shape[1]
-    for a in range(k):
-        for b in range(k):
-            if a != b:
-                pairs.append(elements[:, [a, b]])
-    pairs = np.unique(np.concatenate(pairs), axis=0)
+def _adjacency_lists(edges: np.ndarray, nv: int) -> list[np.ndarray]:
+    pairs = np.concatenate([edges, edges[:, ::-1]])
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
     pairs = pairs[order]
     starts = np.searchsorted(pairs[:, 0], np.arange(nv + 1))
@@ -289,7 +305,7 @@ def write_snapshot(imm: DiscreteImmersion, path, scalars: dict | None = None) ->
             fh.write(" ".join(str(int(i)) for i in el) + "\n")
 
 
-def read_snapshot(path, intrinsic_dim: int | None = None):
+def read_snapshot(path):
     """Load a CSV snapshot; returns (immersion, scalar columns dict)."""
     path = str(path)
     with open(path) as fh:
@@ -299,8 +315,6 @@ def read_snapshot(path, intrinsic_dim: int | None = None):
         )
     dim = len(header) - 4
     elements = np.loadtxt(_sidecar_path(path), dtype=np.int64, ndmin=2)
-    if intrinsic_dim is None:
-        intrinsic_dim = elements.shape[1] - 1
     scalars = {
         "H2": data[:, dim],
         "A2": data[:, dim + 1],
@@ -308,7 +322,7 @@ def read_snapshot(path, intrinsic_dim: int | None = None):
         "weight": data[:, dim + 3],
     }
     imm = DiscreteImmersion(
-        vertices=data[:, :dim], elements=elements, intrinsic_dim=intrinsic_dim
+        vertices=data[:, :dim], elements=elements, intrinsic_dim=elements.shape[1] - 1
     )
     return imm, scalars
 
@@ -316,14 +330,3 @@ def read_snapshot(path, intrinsic_dim: int | None = None):
 def _sidecar_path(path: str) -> str:
     base = path[:-4] if path.endswith(".csv") else path
     return base + ".elements.txt"
-
-
-def write_obj(imm: DiscreteImmersion, path) -> None:
-    """OBJ export, offered only for surfaces in R^3."""
-    if imm.intrinsic_dim != 2 or imm.codim != 1:
-        raise UnsupportedDimension("OBJ export requires n=2, d=1")
-    with open(str(path), "w") as fh:
-        for v in imm.vertices:
-            fh.write(f"v {v[0]!r} {v[1]!r} {v[2]!r}\n")
-        for f in imm.elements:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")

@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import shortest_path
 from . import analytic
 from .curvature import DerivativeData, FundamentalForms, derivative_data, jet_forms
 from .errors import UnsupportedDimension, WindowNotCovered
-from .mesh import DiscreteImmersion, MeshTopology, measure_weights
+from .mesh import DiscreteImmersion, measure_weights
 
 #: squared-curvature scale below which derivative fits are treated as noise
 GRADIENT_NOISE_FLOOR = 1e-2
@@ -125,10 +125,9 @@ def _digest(*parts) -> str:
     return hasher.hexdigest()[:16]
 
 
-def graph_diameter(imm: DiscreteImmersion, topo: MeshTopology | None = None) -> float:
+def graph_diameter(imm: DiscreteImmersion) -> float:
     """Geodesic diameter of the 1-skeleton (exact all-pairs shortest paths)."""
-    topo = topo or MeshTopology(imm)
-    edges = topo.edges
+    edges = imm.topology.edges
     lengths = np.linalg.norm(
         imm.vertices[edges[:, 1]] - imm.vertices[edges[:, 0]], axis=1
     )
@@ -151,16 +150,14 @@ def mesh_state_view(
     imm: DiscreteImmersion,
     forms: FundamentalForms | None = None,
     deriv: DerivativeData | None = None,
-    topo: MeshTopology | None = None,
     with_gradients: bool = False,
 ) -> StateView:
-    topo = topo or MeshTopology(imm)
     fit_gradients = with_gradients and deriv is None
     if forms is None or fit_gradients:
-        frames, fitted = jet_forms(imm, topo=topo)
+        frames, fitted = jet_forms(imm)
         forms = fitted if forms is None else forms
     if fit_gradients:
-        deriv = derivative_data(imm, frames, forms, topo=topo)
+        deriv = derivative_data(imm, frames, forms)
     weights = measure_weights(imm)
     return StateView(
         n=imm.intrinsic_dim,
@@ -173,7 +170,7 @@ def mesh_state_view(
         grad_a2=None if deriv is None else deriv.grad_a2,
         grad_h2=None if deriv is None else deriv.grad_h2,
         grad_aring2=None if deriv is None else deriv.grad_aring2,
-        _diameter_fn=lambda: graph_diameter(imm, topo),
+        _diameter_fn=lambda: graph_diameter(imm),
     )
 
 

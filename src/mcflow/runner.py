@@ -40,7 +40,7 @@ from .flow import (
     estimator_discrepancy,
     run_until,
 )
-from .mesh import DiscreteImmersion, MeshTopology, measure_weights, read_snapshot, write_snapshot
+from .mesh import DiscreteImmersion, measure_weights, read_snapshot, write_snapshot
 from .monitors import (
     HOLDS,
     INFORMATIONAL,
@@ -159,15 +159,12 @@ def _final_reports(config: RunConfig, built, trace: FlowTrace):
         view = scene_state_view(built, trace.records[-1].t)
     else:
         imm = trace.final_state.immersion
-        topo = MeshTopology(imm)
-        frames, forms = jet_forms(imm, ring=config.scheme.ring, topo=topo)
+        frames, forms = jet_forms(imm, ring=config.scheme.ring)
         deriv = (
-            derivative_data(imm, frames, forms, ring=config.scheme.ring, topo=topo)
-            if n >= 2
-            else None
+            derivative_data(imm, frames, forms, ring=config.scheme.ring) if n >= 2 else None
         )
-        view = mesh_state_view(imm, forms, deriv, topo)
-        gap = estimator_discrepancy(imm, forms, topo)
+        view = mesh_state_view(imm, forms, deriv)
+        gap = estimator_discrepancy(imm, forms)
         summary["estimator_discrepancy_median"] = gap
         summary["under_resolved"] = gap > 0.10
 
@@ -217,21 +214,25 @@ def load_trace(trace_dir) -> FlowTrace:
     manifest_path = os.path.join(trace_dir, "MANIFEST.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    scene = SceneSpec(
-        kind=manifest["config"]["scene"]["kind"],
-        params={k: v for k, v in manifest["config"]["scene"].items() if k != "kind"},
-    )
-    n = scene.intrinsic_dim()
     snapshots = []
     index_path = os.path.join(trace_dir, "snapshots", "index.json")
     if os.path.exists(index_path):
         with open(index_path) as fh:
             index = json.load(fh)
         for entry in index:
-            imm, scalars = read_snapshot(
-                os.path.join(trace_dir, "snapshots", entry["file"]), intrinsic_dim=n
-            )
+            imm, scalars = read_snapshot(os.path.join(trace_dir, "snapshots", entry["file"]))
+            if snapshots and np.array_equal(imm.elements, snapshots[0].immersion.elements):
+                imm = snapshots[0].immersion.with_vertices(imm.vertices)  # share one topology
             snapshots.append(Snapshot(entry["step"], entry["t"], imm, scalars))
+    if snapshots:
+        # the sidecars give n, so a mesh_file run never re-reads its source mesh
+        n = snapshots[0].immersion.intrinsic_dim
+    else:
+        scene = SceneSpec(
+            kind=manifest["config"]["scene"]["kind"],
+            params={k: v for k, v in manifest["config"]["scene"].items() if k != "kind"},
+        )
+        n = scene.intrinsic_dim()
     return FlowTrace(
         records=records,
         snapshots=snapshots,
@@ -322,13 +323,12 @@ def _identity_reports(name: str, body) -> list[MonitorReport]:
     plus informational structural residuals."""
     reports = []
     if isinstance(body, DiscreteImmersion):
-        topo = MeshTopology(body)
-        frames, forms = jet_forms(body, topo=topo)
+        frames, forms = jet_forms(body)
         n = body.intrinsic_dim
-        gauss = float(np.abs(gauss_residual(body, forms, topo)).mean())
-        deriv = derivative_data(body, frames, forms, topo=topo)
+        gauss = float(np.abs(gauss_residual(body, forms)).mean())
+        deriv = derivative_data(body, frames, forms)
         codazzi = float(codazzi_residual(deriv).mean())
-        digest = mesh_state_view(body, forms, topo=topo).digest
+        digest = mesh_state_view(body, forms).digest
     else:
         # the exact scene as one homogeneous point of the same field layout
         h = body.form_components(0.0)[None]

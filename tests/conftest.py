@@ -13,9 +13,8 @@ def icosphere4():
 
 @pytest.fixture(scope="session")
 def icosphere4_forms(icosphere4):
-    topo = MeshTopology(icosphere4)
-    frames, forms = jet_forms(icosphere4, topo=topo)
-    return topo, frames, forms
+    frames, forms = jet_forms(icosphere4)
+    return icosphere4.topology, frames, forms
 
 
 @pytest.fixture(scope="session")
@@ -25,9 +24,22 @@ def clifford64():
 
 @pytest.fixture(scope="session")
 def clifford64_forms(clifford64):
-    topo = MeshTopology(clifford64)
-    frames, forms = jet_forms(clifford64, topo=topo)
-    return topo, frames, forms
+    frames, forms = jet_forms(clifford64)
+    return clifford64.topology, frames, forms
+
+
+@pytest.fixture
+def topology_builds(monkeypatch):
+    """List that grows by one entry (the vertex count) per MeshTopology built."""
+    builds = []
+    real_init = MeshTopology.__init__
+
+    def counting_init(self, imm):
+        builds.append(imm.num_vertices)
+        real_init(self, imm)
+
+    monkeypatch.setattr(MeshTopology, "__init__", counting_init)
+    return builds
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,6 @@ from mcflow.analytic import (
 from mcflow.config import config_from_dict
 from mcflow.curvature import derivative_data, gauss_residual, jet_forms
 from mcflow.flow import FlowState, MonitorParams, SchemeConfig, StopRule, run_until
-from mcflow.mesh import MeshTopology
 from mcflow.monitors import (
     HOLDS,
     blowup_estimate,
@@ -215,9 +214,8 @@ def test_criterion_06_identity_suite():
     residuals = []
     for subdiv in (3, 4):
         imm = icosphere(subdiv=subdiv)
-        topo = MeshTopology(imm)
-        _, forms = jet_forms(imm, topo=topo)
-        residuals.append(float(np.abs(gauss_residual(imm, forms, topo)).mean()))
+        _, forms = jet_forms(imm)
+        residuals.append(float(np.abs(gauss_residual(imm, forms)).mean()))
     order = math.log2(residuals[0] / residuals[1])
     ok = worst_trace <= 1e-12 and worst_decomp <= 1e-12 and order >= 1.5
     _report(
@@ -241,10 +239,9 @@ def test_criterion_07_inequality_suite():
         if isinstance(item, SphereProductScene):
             view = scene_state_view(item, 0.0)
         else:
-            topo = MeshTopology(item)
-            frames, forms = jet_forms(item, topo=topo)
-            deriv = derivative_data(item, frames, forms, topo=topo)
-            view = mesh_state_view(item, forms, deriv, topo)
+            frames, forms = jet_forms(item)
+            deriv = derivative_data(item, frames, forms)
+            view = mesh_state_view(item, forms, deriv)
         reports = {r.name: r for r in inequality_suite(view)}
         for check in (
             "chen_total_mean_curvature",

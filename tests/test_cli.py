@@ -65,6 +65,21 @@ class TestLoadConfig:
         again = config_from_dict(cfg.to_dict())
         assert again == cfg
 
+    @pytest.mark.parametrize(
+        "scene,collapse",
+        [
+            ({"kind": "analytic_sphere", "n": 2}, 0.25),
+            ({"kind": "analytic_sphere", "n": 3, "r0": 0.5}, 0.25 / 6),
+            ({"kind": "analytic_sphere_product", "p": 2, "q": 1}, 0.25),
+        ],
+    )
+    def test_exact_scene_t_end_at_or_past_collapse_rejected(self, scene, collapse):
+        for t_end in (collapse, 2 * collapse):
+            with pytest.raises(ValidationError) as err:
+                config_from_dict({"scene": scene, "stop": {"t_end": t_end}})
+            assert err.value.field == "stop.t_end"
+        config_from_dict({"scene": scene, "stop": {"t_end": 0.99 * collapse}})
+
     def test_perturbation_amplitude_cap(self):
         raw = minimal_config()
         raw["scene"]["perturbation"] = {"modes": [[2, 0, 0.4]]}
@@ -174,11 +189,11 @@ class TestRun:
         real_step = flow_mod.step_semi_implicit
         calls = {"n": 0}
 
-        def exploding_step(state, dt, topo=None):
+        def exploding_step(state, dt):
             calls["n"] += 1
             if calls["n"] > 4:
                 raise KeyboardInterrupt
-            return real_step(state, dt, topo=topo)
+            return real_step(state, dt)
 
         monkeypatch.setattr(flow_mod, "step_semi_implicit", exploding_step)
         out = tmp_path / "crash"
@@ -280,6 +295,15 @@ class TestCliEntry:
         bad.write_text("{not json")
         assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "x")]) == 4
 
+    def test_exact_scene_past_collapse_exits_before_tracing(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps({"scene": {"kind": "analytic_sphere", "n": 2}, "stop": {"t_end": 0.5}})
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 4
+        assert not (out / "trace.ndjson").exists()
+
     def test_check_cli(self):
         assert (
             cli.main(
@@ -299,3 +323,36 @@ class TestCliEntry:
         last = roundness["series"][-1]
         assert last["pinch_ratio"] < 0.05  # sphere stays round
         assert (out / "rescaled" / last["file"]).exists()
+
+    def test_rescale_without_the_source_mesh(self, tmp_path):
+        src = tmp_path / "src"
+        src.mkdir()
+        write_snapshot(icosphere(subdiv=2), src / "mesh.csv")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "scene": {"kind": "mesh_file", "path": str(src / "mesh.csv")},
+                    "stop": {"step_cap": 6},
+                    "snapshot_every": 2,
+                }
+            )
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert cli.main(["rescale", "--trace", str(out), "--out", str(tmp_path / "r1")]) == 0
+        os.rename(src, tmp_path / "moved")
+        assert cli.main(["rescale", "--trace", str(out), "--out", str(tmp_path / "r2")]) == 0
+        assert (tmp_path / "r1" / "roundness.json").read_bytes() == (
+            tmp_path / "r2" / "roundness.json"
+        ).read_bytes()
+
+    def test_run_builds_one_topology(self, tmp_path, topology_builds):
+        cfg = config_from_dict(minimal_config(snapshot_every=2, stop={"step_cap": 6}))
+        assert runner.run(cfg, tmp_path / "out") == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert "roundness" in summary  # the final rescale and re-fit ran too
+        assert topology_builds == [162]
+        # the four snapshots read back share one topology
+        assert len(runner.rescale_trace(tmp_path / "out")["series"]) == 4
+        assert topology_builds == [162, 162]

@@ -112,7 +112,7 @@ class TestSemiImplicitStep:
 
         def gap(dt):
             a = step_semi_implicit(state, dt)
-            b = step_explicit(state, dt, h_source="laplace")
+            b = step_explicit(state, dt, h_field=laplace_mean_curvature(state.immersion))
             return np.abs(a.immersion.vertices - b.immersion.vertices).max()
 
         ratio = gap(2e-3) / gap(1e-3)
@@ -290,6 +290,15 @@ class TestRedistribute:
     def test_requires_curve(self, icosphere4):
         with pytest.raises(UnsupportedDimension):
             redistribute(icosphere4)
+
+    def test_redistributed_run_builds_one_topology(self, topology_builds):
+        rng = np.random.default_rng(3)
+        angles = 2 * np.pi * (np.arange(64) + rng.uniform(-0.3, 0.3, 64)) / 64
+        imm = polygon_circle(angles=angles, ambient_dim=4)
+        cfg = SchemeConfig(cfl=0.01, redistribute_every=2, stop=StopRule(step_cap=6))
+        trace = run_until(FlowState(immersion=imm), cfg)
+        assert topology_builds == [64]
+        assert trace.final_state.immersion.topology is imm.topology
 
 
 class TestEstimatorDiscrepancy:

@@ -21,15 +21,12 @@ from mcflow.errors import (
     FitUnderdetermined,
     InvalidImmersion,
     NeighborhoodRankDeficient,
-    UnsupportedDimension,
 )
 from mcflow.mesh import (
     DiscreteImmersion,
-    MeshTopology,
     angle_defects,
     measure_weights,
     read_snapshot,
-    write_obj,
     write_snapshot,
 )
 from mcflow.scenes import (
@@ -66,6 +63,17 @@ def collinear_polyline(k=7):
     return DiscreteImmersion(vertices=verts, elements=segs, intrinsic_dim=1, closed=False)
 
 
+def collapsed_first_triangle(imm):
+    """Vertices of ``imm`` with its first triangle folded onto an edge."""
+    verts = imm.vertices.copy()
+    a, b, c = imm.elements[0]
+    verts[c] = 0.5 * (verts[a] + verts[b])
+    return verts
+
+
+SQUARE = np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]])
+
+
 class TestValidation:
     def test_bad_index(self):
         with pytest.raises(InvalidImmersion):
@@ -95,12 +103,48 @@ class TestValidation:
         with pytest.raises(DegenerateElement):
             DiscreteImmersion(vertices=verts, elements=segs, intrinsic_dim=1)
 
+    @pytest.mark.parametrize(
+        "base,verts,error",
+        [
+            (polygon_circle(segments=4), SQUARE[:3], InvalidImmersion),
+            (polygon_circle(segments=4), np.vstack([SQUARE, [[2.0, 2.0]]]), InvalidImmersion),
+            (polygon_circle(segments=4), SQUARE + [0.0, np.nan], InvalidImmersion),
+            (polygon_circle(segments=4), SQUARE + [np.inf, 0.0], InvalidImmersion),
+            (
+                polygon_circle(segments=4),
+                np.array([[0.0, 0], [1, 0], [1 + 1e-12, 0], [0, 1]]),
+                DegenerateElement,
+            ),
+            (icosphere(subdiv=1), collapsed_first_triangle(icosphere(subdiv=1)), DegenerateElement),
+        ],
+        ids=["too_few", "too_many", "nan", "inf", "collapsed_segment", "collapsed_triangle"],
+    )
+    def test_with_vertices_raises_what_construction_raises(self, base, verts, error):
+        # the per-step geometry re-check keeps the types and messages of the
+        # full validation of a fresh immersion
+        with pytest.raises(error) as fresh:
+            DiscreteImmersion(
+                vertices=verts, elements=base.elements, intrinsic_dim=base.intrinsic_dim
+            )
+        with pytest.raises(error) as stepped:
+            base.with_vertices(verts)
+        assert str(stepped.value) == str(fresh.value)
+
     def test_inconsistent_orientation(self):
         imm = icosphere(subdiv=1)
         flipped = imm.elements.copy()
         flipped[0] = flipped[0][::-1]
         with pytest.raises(InvalidImmersion):
             DiscreteImmersion(vertices=imm.vertices, elements=flipped, intrinsic_dim=2)
+
+
+class TestTopology:
+    def test_with_vertices_shares_topology(self):
+        imm = icosphere(subdiv=1)
+        moved = imm.with_vertices(2.0 * imm.vertices)
+        assert moved.topology is imm.topology
+        assert moved.transformed(translation=[1.0, 0.0, 0.0]).topology is imm.topology
+        assert embed_immersion(moved, 5).topology is imm.topology
 
 
 class TestMeasureWeights:
@@ -271,7 +315,7 @@ class TestGaussResidual:
         # angle defect over barycentric area is not pointwise consistent at
         # the 12 valence-5 vertices, so residual statements use the mean
         topo, _, forms = icosphere4_forms
-        res = gauss_residual(icosphere4, forms, topo)
+        res = gauss_residual(icosphere4, forms)
         assert np.abs(res).mean() <= 5e-2
         deg = np.array(
             [len(topo.neighbors(v)) for v in range(icosphere4.num_vertices)]
@@ -284,9 +328,8 @@ class TestGaussResidual:
         errs = []
         for subdiv in (2, 3):
             imm = icosphere(subdiv=subdiv)
-            topo = MeshTopology(imm)
-            _, forms = jet_forms(imm, topo=topo)
-            errs.append(np.abs(gauss_residual(imm, forms, topo)).mean())
+            _, forms = jet_forms(imm)
+            errs.append(np.abs(gauss_residual(imm, forms)).mean())
         assert errs[1] < errs[0]
 
     def test_flat_patch_zero(self):
@@ -301,8 +344,8 @@ class TestGaussResidual:
         assert np.abs(res[interior]).max() < 1e-10
 
     def test_clifford_torus_flat(self, clifford64, clifford64_forms):
-        topo, _, forms = clifford64_forms
-        res = gauss_residual(clifford64, forms, topo)
+        _, _, forms = clifford64_forms
+        res = gauss_residual(clifford64, forms)
         assert np.abs(res).max() <= 5e-2
 
     def test_curve_returns_zero(self):
@@ -313,31 +356,29 @@ class TestGaussResidual:
 
 class TestCovariantDerivative:
     def test_sphere_parallel_form(self, icosphere4, icosphere4_forms):
-        topo, frames, forms = icosphere4_forms
-        deriv = derivative_data(icosphere4, frames, forms, topo=topo)
+        _, frames, forms = icosphere4_forms
+        deriv = derivative_data(icosphere4, frames, forms)
         assert codazzi_residual(deriv).max() <= 1e-2
         assert deriv.grad_a2.max() <= 1e-2
 
     def test_clifford_parallel_form(self, clifford64, clifford64_forms):
-        topo, frames, forms = clifford64_forms
-        deriv = derivative_data(clifford64, frames, forms, topo=topo)
+        _, frames, forms = clifford64_forms
+        deriv = derivative_data(clifford64, frames, forms)
         assert codazzi_residual(deriv).max() <= 2e-2
 
     def test_ellipsoid_codazzi_converges_first_order(self):
         values = []
         for subdiv in (2, 3):
             imm = ellipsoid([1.2, 1.0, 0.9], subdiv=subdiv)
-            topo = MeshTopology(imm)
-            frames, forms = jet_forms(imm, topo=topo)
-            deriv = derivative_data(imm, frames, forms, topo=topo)
+            frames, forms = jet_forms(imm)
+            deriv = derivative_data(imm, frames, forms)
             values.append(codazzi_residual(deriv).mean())
         order = math.log2(values[0] / values[1])
         assert order >= 1.0
 
     def test_gradient_norm_identity(self, ellipsoid3):
-        topo = MeshTopology(ellipsoid3)
-        frames, forms = jet_forms(ellipsoid3, topo=topo)
-        deriv = derivative_data(ellipsoid3, frames, forms, topo=topo)
+        frames, forms = jet_forms(ellipsoid3)
+        deriv = derivative_data(ellipsoid3, frames, forms)
         assert np.allclose(
             deriv.grad_aring2, deriv.grad_a2 - deriv.grad_h2 / 2, rtol=1e-10, atol=1e-12
         )
@@ -406,12 +447,3 @@ class TestSnapshotIO:
         assert np.array_equal(loaded.elements, imm.elements)
         assert np.array_equal(scalars["H2"], forms.h2)
         assert np.array_equal(scalars["weight"], measure_weights(imm))
-
-    def test_obj_export_guard(self, tmp_path):
-        imm = embed_immersion(icosphere(subdiv=1), 4)
-        with pytest.raises(UnsupportedDimension):
-            write_obj(imm, tmp_path / "a.obj")
-        write_obj(icosphere(subdiv=1), tmp_path / "b.obj")
-        text = (tmp_path / "b.obj").read_text()
-        assert text.count("v ") == 42
-        assert text.count("f ") == 80

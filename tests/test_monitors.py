@@ -157,8 +157,8 @@ class TestPinching:
 
 class TestInequalitySuite:
     def test_unit_sphere_values(self, icosphere4, icosphere4_forms):
-        topo, _, forms = icosphere4_forms
-        view = mesh_state_view(icosphere4, forms, topo=topo)
+        _, _, forms = icosphere4_forms
+        view = mesh_state_view(icosphere4, forms)
         reports = {r.name: r for r in inequality_suite(view)}
         chen = reports["chen_total_mean_curvature"]
         assert chen.verdict == HOLDS

@@ -50,7 +50,7 @@ def main():
         print(f"{snap.t:>10.5f} {state.lam:>8.4f} {m['pinch_ratio']:>10.2e} "
               f"{m['radial_cv']:>10.2e} {m['hausdorff_to_unit_sphere']:>10.2e}")
 
-    sub = subspace_dimension(trace.snapshots[-1].immersion)
+    sub = subspace_dimension(trace.snapshots[-1].immersion.vertices)
     print(f"final affine dimension: {sub['dim']} (residual {sub['residual']:.1e})")
 
 

@@ -56,24 +56,14 @@ SPHERE_AREA_TABLE, BALL_VOLUME_TABLE = _recurrence_tables()
 # ---------------------------------------------------------------------------
 # exact scenes
 
-def _orthonormal(frame: np.ndarray, tol: float = 1e-10) -> bool:
-    g = frame.T @ frame
-    return bool(np.allclose(g, np.eye(frame.shape[1]), atol=tol))
-
-
 @dataclass(frozen=True)
 class SphereScene:
-    """Round n-sphere of initial radius r0 inside an (n+1)-plane of R^{n+d}.
-
-    ``subspace`` holds n+1 orthonormal columns spanning that plane; the
-    default is the first n+1 coordinate axes.
-    """
+    """Round n-sphere of initial radius r0 centered at the origin of the
+    coordinate (n+1)-plane of R^{n+d}."""
 
     n: int
     d: int = 1
     r0: float = 1.0
-    center: np.ndarray | None = None
-    subspace: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -82,20 +72,10 @@ class SphereScene:
             raise ValidationError("codimension must be >= 1", field="d")
         if not self.r0 > 0:
             raise ValidationError("initial radius must be positive", field="r0")
-        dim = self.ambient_dim
-        if self.center is not None:
-            c = np.asarray(self.center, dtype=float)
-            if c.shape != (dim,):
-                raise ValidationError("center has wrong ambient dimension", field="center")
-            object.__setattr__(self, "center", c)
-        if self.subspace is not None:
-            q = np.asarray(self.subspace, dtype=float)
-            if q.shape != (dim, self.n + 1) or not _orthonormal(q):
-                raise ValidationError(
-                    "subspace must be an orthonormal (ambient x n+1) frame",
-                    field="subspace",
-                )
-            object.__setattr__(self, "subspace", q)
+
+    @property
+    def intrinsic_dim(self) -> int:
+        return self.n
 
     @property
     def ambient_dim(self) -> int:
@@ -104,16 +84,6 @@ class SphereScene:
     @property
     def collapse_time(self) -> float:
         return self.r0 ** 2 / (2.0 * self.n)
-
-    def center_point(self) -> np.ndarray:
-        if self.center is None:
-            return np.zeros(self.ambient_dim)
-        return self.center
-
-    def frame(self) -> np.ndarray:
-        if self.subspace is None:
-            return np.eye(self.ambient_dim)[:, : self.n + 1]
-        return self.subspace
 
     def state(self, t: float) -> SphereState:
         """Exact curvature record of the shrinking sphere at time t."""
@@ -203,6 +173,10 @@ class SphereProductScene:
     @property
     def n(self) -> int:
         return self.p + self.q
+
+    @property
+    def intrinsic_dim(self) -> int:
+        return self.n
 
     @property
     def ambient_dim(self) -> int:

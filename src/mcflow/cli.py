@@ -73,7 +73,10 @@ def main(argv=None) -> int:
         if args.command == "rescale":
             center = None
             if args.center:
-                center = np.array([float(tok) for tok in args.center.split(",")])
+                try:
+                    center = np.array([float(tok) for tok in args.center.split(",")])
+                except ValueError:
+                    raise ValidationError("--center must be numbers", field="center") from None
             result = runner.rescale_trace(
                 args.trace, T_hat=args.t_hat, center=center, out_dir=args.out
             )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -11,17 +12,7 @@ import numpy as np
 from . import analytic, scenes
 from .errors import ParseError, ValidationError
 from .flow import SchemeConfig, StopRule
-from .mesh import DiscreteImmersion, read_snapshot
-
-SCENE_KINDS = (
-    "mesh_file",
-    "icosphere",
-    "polygon_circle",
-    "ellipsoid",
-    "clifford_torus",
-    "analytic_sphere",
-    "analytic_sphere_product",
-)
+from .mesh import read_snapshot
 
 _SCENE_KEYS = {
     "mesh_file": {"path"},
@@ -34,12 +25,36 @@ _SCENE_KEYS = {
 }
 
 
-def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
-    unknown = set(mapping) - allowed
+def _section(value, allowed: set, where: str) -> dict:
+    """A copy of a JSON object whose keys all lie in ``allowed``."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where} must be an object", field=where)
+    unknown = set(value) - allowed
     if unknown:
-        raise ValidationError(
-            f"unknown key(s) {sorted(unknown)} in {where}", field=where
-        )
+        raise ValidationError(f"unknown key(s) {sorted(unknown)} in {where}", field=where)
+    return dict(value)
+
+
+def _number(value, field: str, integer: bool = False):
+    """``value`` if it is a JSON number (an integer if ``integer``), else a config error."""
+    ok = isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+    if not ok or (isinstance(value, float) and math.isnan(value)):
+        kind = "an integer" if integer else "a number"
+        raise ValidationError(f"{field} must be {kind}, not {value!r}", field=field)
+    return value
+
+
+def _array(value, field: str) -> np.ndarray | None:
+    """A JSON array of numbers (nested for a matrix) as a float array; None stays None."""
+    if value is None:
+        return None
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.ndim == 0 or arr.dtype.kind not in "iuf" or np.isnan(arr).any():
+        raise ValidationError(f"{field} must be an array of numbers", field=field)
+    return arr.astype(float)
 
 
 @dataclass(frozen=True)
@@ -48,103 +63,86 @@ class SceneSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in SCENE_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _SCENE_KEYS:
             raise ValidationError(f"unknown scene kind {self.kind!r}", field="scene.kind")
-        _reject_unknown(self.params, _SCENE_KEYS[self.kind], f"scene.{self.kind}")
+        _section(self.params, _SCENE_KEYS[self.kind], f"scene.{self.kind}")
         self._validate_params()
 
     def _validate_params(self):
-        p = self.params
-        positive = {
-            "r0": p.get("r0"),
-            "a0": p.get("a0"),
-            "b0": p.get("b0"),
-        }
-        for name, value in positive.items():
-            if value is not None and not value > 0:
-                raise ValidationError(f"{name} must be positive", field=f"scene.{name}")
-        if "semi_axes" in p:
-            axes = p["semi_axes"]
-            if len(axes) != 3 or any(a <= 0 for a in axes):
-                raise ValidationError(
-                    "semi_axes must be three positive lengths", field="scene.semi_axes"
-                )
-        if "perturbation" in p and p["perturbation"] is not None:
-            pert = p["perturbation"]
-            _reject_unknown(pert, {"modes"}, "scene.perturbation")
-            modes = pert.get("modes", [])
-            if not modes:
-                raise ValidationError("perturbation requires modes", field="scene.perturbation")
-            if sum(abs(m[2]) for m in modes) >= 0.3:
-                raise ValidationError(
-                    "perturbation amplitude must stay below 0.3 of the minimum radius",
-                    field="scene.perturbation",
-                )
+        # the constructors check every value they take; the perturbation's
+        # layout is all that is left
+        pert = self.params.get("perturbation")
+        if pert is None:
+            return
+        modes = _section(pert, {"modes"}, "scene.perturbation").get("modes")
+        modes = _array(modes, "scene.perturbation.modes")
+        if modes is None or modes.ndim != 2 or modes.shape[1] != 3 or len(modes) == 0:
+            raise ValidationError(
+                "perturbation requires modes, each [degree, order, amplitude]",
+                field="scene.perturbation.modes",
+            )
+
+    @classmethod
+    def from_dict(cls, raw) -> "SceneSpec":
+        """Inverse of ``to_dict``: a scene object with its ``kind`` key."""
+        if not isinstance(raw, dict):
+            raise ValidationError("scene must be an object", field="scene")
+        params = dict(raw)
+        return cls(kind=params.pop("kind", None), params=params)
 
     @property
     def is_analytic(self) -> bool:
         return self.kind.startswith("analytic_")
 
-    def intrinsic_dim(self) -> int:
-        if self.kind == "polygon_circle":
-            return 1
-        if self.kind in ("icosphere", "ellipsoid", "clifford_torus"):
-            return 2
-        if self.kind == "analytic_sphere":
-            return int(self.params.get("n", 2))
-        if self.kind == "analytic_sphere_product":
-            return int(self.params.get("p", 1)) + int(self.params.get("q", 1))
-        # mesh_file: peek at the element arity of the sidecar
-        imm, _ = read_snapshot(self.params["path"])
-        return imm.intrinsic_dim
+    @functools.cached_property
+    def body(self):
+        """The scene, built once: a DiscreteImmersion or an exact scene."""
+        p = self.params
 
-    def build(self):
-        """Materialize the scene: a DiscreteImmersion or an analytic scene."""
-        p = dict(self.params)
+        def num(key, default, integer=False):
+            value = _number(p.get(key, default), f"scene.{key}", integer)
+            return value if integer else float(value)
+
         if self.kind == "analytic_sphere":
             return analytic.SphereScene(
-                n=int(p.get("n", 2)), d=int(p.get("d", 1)), r0=float(p.get("r0", 1.0))
+                n=num("n", 2, True), d=num("d", 1, True), r0=num("r0", 1.0)
             )
         if self.kind == "analytic_sphere_product":
             return analytic.SphereProductScene(
-                p=int(p.get("p", 1)),
-                q=int(p.get("q", 1)),
-                a0=float(p.get("a0", 1.0)),
-                b0=float(p.get("b0", 1.0)),
-                extra_codim=int(p.get("extra_codim", 0)),
+                p=num("p", 1, True),
+                q=num("q", 1, True),
+                a0=num("a0", 1.0),
+                b0=num("b0", 1.0),
+                extra_codim=num("extra_codim", 0, True),
             )
         if self.kind == "mesh_file":
+            if not isinstance(p.get("path"), str):
+                raise ValidationError("mesh_file requires a path", field="scene.path")
             imm, _ = read_snapshot(p["path"])
             return imm
         if self.kind == "clifford_torus":
             return scenes.clifford_torus(
-                a0=float(p.get("a0", 1.0)),
-                b0=float(p.get("b0", 1.0)),
-                resolution=int(p.get("resolution", 64)),
-                extra_codim=int(p.get("extra_codim", 0)),
+                a0=num("a0", 1.0),
+                b0=num("b0", 1.0),
+                resolution=num("resolution", 64, True),
+                extra_codim=num("extra_codim", 0, True),
             )
-
-        pert = p.get("perturbation")
-        subspace = p.get("embed_subspace")
-        if subspace is not None:
-            subspace = np.asarray(subspace, dtype=float)
-        center = p.get("center")
-        base_dim = 2 if self.kind == "polygon_circle" else 3
-        ambient = int(p.get("ambient_dim", base_dim))
 
         if self.kind == "icosphere":
-            imm = scenes.icosphere(subdiv=int(p.get("subdiv", 3)), r0=float(p.get("r0", 1.0)))
+            imm = scenes.icosphere(subdiv=num("subdiv", 3, True), r0=num("r0", 1.0))
         elif self.kind == "ellipsoid":
             imm = scenes.ellipsoid(
-                semi_axes=p.get("semi_axes", [1.0, 1.0, 1.0]), subdiv=int(p.get("subdiv", 3))
+                semi_axes=_array(p.get("semi_axes", [1.0, 1.0, 1.0]), "scene.semi_axes"),
+                subdiv=num("subdiv", 3, True),
             )
         else:
-            imm = scenes.polygon_circle(
-                segments=int(p.get("segments", 128)), r0=float(p.get("r0", 1.0))
-            )
-        if pert is not None:
-            imm = scenes.perturb_radially(imm, [tuple(m) for m in pert["modes"]])
-        if ambient != base_dim or subspace is not None or center is not None:
+            imm = scenes.polygon_circle(segments=num("segments", 128, True), r0=num("r0", 1.0))
+        if p.get("perturbation") is not None:
+            imm = scenes.perturb_radially(imm, [tuple(m) for m in p["perturbation"]["modes"]])
+        ambient = num("ambient_dim", imm.ambient_dim, True)
+        subspace = _array(p.get("embed_subspace"), "scene.embed_subspace")
+        center = _array(p.get("center"), "scene.center")
+        if ambient != imm.ambient_dim or subspace is not None or center is not None:
             imm = scenes.embed_immersion(imm, ambient, subspace=subspace, center=center)
         return imm
 
@@ -201,64 +199,56 @@ class RunConfig:
             out["scheme"]["dt_max"] = self.scheme.dt_max
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
 
 def config_from_dict(raw: dict) -> RunConfig:
-    _reject_unknown(
-        raw,
-        {"scene", "scheme", "stop", "monitors", "snapshot_every", "seed"},
-        "config",
-    )
-    if "scene" not in raw:
-        raise ValidationError("config requires a scene", field="scene")
-    scene_raw = dict(raw["scene"])
-    kind = scene_raw.pop("kind", None)
-    if kind is None:
-        raise ValidationError("scene requires a kind", field="scene.kind")
-    scene = SceneSpec(kind=kind, params=scene_raw)
-    n = scene.intrinsic_dim()
+    keys = {"scene", "scheme", "stop", "monitors", "snapshot_every", "seed"}
+    raw = _section(raw, keys, "config")
+    scene = SceneSpec.from_dict(raw.get("scene"))
+    body = scene.body
+    n = body.intrinsic_dim
 
-    if "stop" not in raw:
-        raise ValidationError("config requires a stop rule", field="stop")
-    stop_raw = dict(raw["stop"])
-    _reject_unknown(stop_raw, {"t_end", "maxA2", "step_cap"}, "stop")
+    # StopRule rejects a missing or empty stop block
+    stop_raw = _section(raw.get("stop", {}), {"t_end", "maxA2", "step_cap"}, "stop")
+
+    def stop_num(key, integer=False):
+        value = stop_raw.get(key)
+        return None if value is None else _number(value, f"stop.{key}", integer)
+
     stop = StopRule(
-        t_end=stop_raw.get("t_end"),
-        max_a2=stop_raw.get("maxA2"),
-        step_cap=stop_raw.get("step_cap"),
+        t_end=stop_num("t_end"), max_a2=stop_num("maxA2"), step_cap=stop_num("step_cap", True)
     )
-    if scene.is_analytic and stop.t_end is not None:
-        collapse = scene.build().collapse_time
-        if stop.t_end >= collapse:
-            raise ValidationError(
-                f"t_end={stop.t_end:g} is not before the collapse time {collapse:g}",
-                field="stop.t_end",
-            )
+    if scene.is_analytic and stop.t_end is not None and stop.t_end >= body.collapse_time:
+        raise ValidationError(
+            f"t_end={stop.t_end:g} is not before the collapse time {body.collapse_time:g}",
+            field="stop.t_end",
+        )
 
-    scheme_raw = dict(raw.get("scheme", {}))
-    _reject_unknown(
-        scheme_raw,
-        {"scheme", "cfl", "dt_max", "redistribute_every", "ring"},
-        "scheme",
+    scheme_raw = _section(
+        raw.get("scheme", {}), {"scheme", "cfl", "dt_max", "redistribute_every", "ring"}, "scheme"
     )
+
+    def scheme_num(key, default, integer=False):
+        return _number(scheme_raw.get(key, default), f"scheme.{key}", integer)
+
     scheme = SchemeConfig(
         scheme=scheme_raw.get("scheme", "semi_implicit"),
-        cfl=float(scheme_raw.get("cfl", 0.02)),
-        dt_max=float(scheme_raw.get("dt_max", math.inf)),
-        redistribute_every=int(scheme_raw.get("redistribute_every", 10 if n == 1 else 0)),
+        cfl=float(scheme_num("cfl", 0.02)),
+        dt_max=float(scheme_num("dt_max", math.inf)),
+        redistribute_every=scheme_num("redistribute_every", 10 if n == 1 else 0, True),
         stop=stop,
-        ring=int(scheme_raw.get("ring", 2)),
+        ring=scheme_num("ring", 2, True),
     )
 
-    mon_raw = dict(raw.get("monitors", {}))
-    _reject_unknown(mon_raw, {"a", "b", "p", "alpha"}, "monitors")
+    mon_raw = _section(raw.get("monitors", {}), {"a", "b", "p", "alpha"}, "monitors")
+
+    def mon_list(key, default):
+        values = mon_raw.get(key, default)
+        if not isinstance(values, (list, tuple)):
+            values = [values]
+        return tuple(float(_number(v, f"monitors.{key}")) for v in values)
+
     default_a = 1.0 if n == 1 else 1.0 / (n - 1.0)
-    alphas = mon_raw.get("alpha", [float(n + 2)])
-    if not isinstance(alphas, (list, tuple)):
-        alphas = [alphas]
-    alphas = tuple(float(a) for a in alphas)
+    alphas = mon_list("alpha", [float(n + 2)])
     for a in alphas:
         if a < n + 2:
             raise ValidationError(
@@ -266,17 +256,18 @@ def config_from_dict(raw: dict) -> RunConfig:
                 "controls extension of the flow only for alpha >= n+2",
                 field="monitors.alpha",
             )
-    p_list = mon_raw.get("p", [2.0])
-    if not isinstance(p_list, (list, tuple)):
-        p_list = [p_list]
+    p_list = mon_list("p", [2.0])
+    for p in p_list:
+        if p < 1:
+            raise ValidationError(f"p={p:g} is below 1", field="monitors.p")
     monitors = MonitorConfig(
-        a=float(mon_raw.get("a", default_a)),
-        b=float(mon_raw.get("b", 0.0)),
-        p_list=tuple(float(p) for p in p_list),
+        a=float(_number(mon_raw.get("a", default_a), "monitors.a")),
+        b=float(_number(mon_raw.get("b", 0.0), "monitors.b")),
+        p_list=p_list,
         alphas=alphas,
     )
 
-    snapshot_every = int(raw.get("snapshot_every", 10))
+    snapshot_every = _number(raw.get("snapshot_every", 10), "snapshot_every", integer=True)
     if snapshot_every < 0:
         raise ValidationError("snapshot_every must be >= 0", field="snapshot_every")
     return RunConfig(
@@ -284,25 +275,26 @@ def config_from_dict(raw: dict) -> RunConfig:
         scheme=scheme,
         monitors=monitors,
         snapshot_every=snapshot_every,
-        seed=int(raw.get("seed", 0)),
+        seed=_number(raw.get("seed", 0), "seed", integer=True),
     )
+
+
+def _parse_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"invalid {what} at line {exc.lineno}, column {exc.colno}: {exc.msg}",
+            line=exc.lineno,
+            column=exc.colno,
+        ) from exc
 
 
 def load_config(path) -> RunConfig:
     """Parse and validate a JSON run configuration file."""
     with open(str(path)) as fh:
         text = fh.read()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            line=exc.lineno,
-            column=exc.colno,
-        ) from exc
-    if not isinstance(raw, dict):
-        raise ValidationError("config root must be an object", field="config")
-    return config_from_dict(raw)
+    return config_from_dict(_parse_json(text, "JSON"))
 
 
 def parse_scene(text_or_path: str) -> SceneSpec:
@@ -311,15 +303,4 @@ def parse_scene(text_or_path: str) -> SceneSpec:
     if not text.lstrip().startswith("{"):
         with open(text) as fh:
             text = fh.read()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"invalid scene JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            line=exc.lineno,
-            column=exc.colno,
-        ) from exc
-    kind = raw.pop("kind", None)
-    if kind is None:
-        raise ValidationError("scene requires a kind", field="scene.kind")
-    return SceneSpec(kind=kind, params=raw)
+    return SceneSpec.from_dict(_parse_json(text, "scene JSON"))

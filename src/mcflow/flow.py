@@ -34,7 +34,6 @@ class FlowState:
     immersion: DiscreteImmersion  # or an exact SphereScene / SphereProductScene
     t: float = 0.0
     step_index: int = 0
-    last_dt: float = 0.0
 
 
 @dataclass
@@ -49,11 +48,11 @@ class StopRule:
         given = [v for v in (self.t_end, self.max_a2, self.step_cap) if v is not None]
         if len(given) != 1:
             raise ValidationError("exactly one stop condition required", field="stop")
-        if self.t_end is not None and self.t_end <= 0:
+        if self.t_end is not None and not self.t_end > 0:
             raise ValidationError("t_end must be positive", field="stop.t_end")
-        if self.max_a2 is not None and self.max_a2 <= 0:
+        if self.max_a2 is not None and not self.max_a2 > 0:
             raise ValidationError("max_a2 must be positive", field="stop.max_a2")
-        if self.step_cap is not None and self.step_cap < 1:
+        if self.step_cap is not None and not self.step_cap >= 1:
             raise ValidationError("step_cap must be >= 1", field="stop.step_cap")
 
 
@@ -72,14 +71,16 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in ("explicit", "semi_implicit"):
             raise ValidationError(f"unknown scheme {self.scheme!r}", field="scheme")
-        if self.cfl <= 0:
+        if not self.cfl > 0:
             raise ValidationError("cfl must be positive", field="cfl")
         if self.scheme == "explicit" and self.cfl > 0.5:
             raise ValidationError("explicit scheme requires cfl <= 0.5", field="cfl")
-        if self.dt_max <= 0:
+        if not self.dt_max > 0:
             raise ValidationError("dt_max must be positive", field="dt_max")
         if self.redistribute_every < 0:
             raise ValidationError("redistribute_every must be >= 0", field="redistribute_every")
+        if self.ring < 1:
+            raise ValidationError("ring must be >= 1", field="ring")
 
 
 #: trace fields keyed by a float parameter (p, alpha); JSON keys are strings
@@ -128,10 +129,6 @@ class FlowTrace:
     status: str  # "stopped" | "singular"; a trace read from disk: the MANIFEST status
     stop_reason: str
     intrinsic_dim: int
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([r.t for r in self.records])
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +223,7 @@ def step_explicit(
         new = _checked(imm, imm.vertices + dt * h_field)
     except Exception as exc:
         raise StepRejected(f"explicit step degenerated: {exc}") from exc
-    return FlowState(new, state.t + dt, state.step_index + 1, dt)
+    return FlowState(new, state.t + dt, state.step_index + 1)
 
 
 def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
@@ -252,7 +249,7 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
         new = _checked(imm, new_vertices)
     except Exception as exc:
         raise StepRejected(f"implicit step degenerated: {exc}") from exc
-    return FlowState(new, state.t + dt, state.step_index + 1, dt)
+    return FlowState(new, state.t + dt, state.step_index + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +319,9 @@ def run_until(
     monitors = monitors or MonitorParams()
     body = state.immersion
     mesh = isinstance(body, DiscreteImmersion)
-    if mesh:
-        n, scheme = body.intrinsic_dim, cfg.scheme
-    else:
-        n, scheme, snapshot_every = body.n, "analytic", 0
+    n = body.intrinsic_dim
+    scheme = cfg.scheme if mesh else "analytic"
+    snapshot_every = snapshot_every if mesh else 0
     alphas = tuple(monitors.alphas) or (float(n + 2),)
     accumulators = {a: SpacetimeAccumulator(alpha=a) for a in alphas}
 
@@ -400,12 +396,10 @@ def run_until(
                 status, reason = "singular", f"step rejected: {exc}"
                 break
             if n == 1 and cfg.redistribute_every and accepted % cfg.redistribute_every == 0:
-                state = FlowState(
-                    redistribute(state.immersion), state.t, state.step_index, state.last_dt
-                )
+                state = FlowState(redistribute(state.immersion), state.t, state.step_index)
         else:
             dt = min(dt, 0.5 * (body.collapse_time - state.t))  # never step past collapse
-            state = FlowState(body, state.t + dt, state.step_index + 1, dt)
+            state = FlowState(body, state.t + dt, state.step_index + 1)
         forms, view = observe(state, dt)
 
     if snapshot_every and (not snapshots or snapshots[-1].step != state.step_index):

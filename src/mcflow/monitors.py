@@ -56,10 +56,6 @@ class SpacetimeAccumulator:
         self.last_integrand = integrand
         return self
 
-    @property
-    def norm(self) -> float:
-        return self.value ** (1.0 / self.alpha)
-
 
 @dataclass
 class MonitorReport:
@@ -93,7 +89,6 @@ class StateView:
     aring2: np.ndarray
     weights: np.ndarray
     vol: float
-    backend: str
     grad_a2: np.ndarray | None = None
     grad_h2: np.ndarray | None = None
     grad_aring2: np.ndarray | None = None
@@ -166,7 +161,6 @@ def mesh_state_view(
         aring2=forms.aring2,
         weights=weights,
         vol=float(weights.sum()),
-        backend="mesh",
         grad_a2=None if deriv is None else deriv.grad_a2,
         grad_h2=None if deriv is None else deriv.grad_h2,
         grad_aring2=None if deriv is None else deriv.grad_aring2,
@@ -186,7 +180,6 @@ def scene_state_view(scene, t: float) -> StateView:
         aring2=st.aring2 * one,
         weights=st.vol * one,
         vol=st.vol,
-        backend="analytic",
         grad_a2=zero,
         grad_h2=zero,
         grad_aring2=zero,
@@ -368,6 +361,5 @@ def blowup_estimate(trace) -> dict:
     return {
         "T_hat": estimates[-1],
         "T_hat_stabilized": float(np.median(estimates[-10:])),
-        "method": "t + n/(2 max|H|^2), median of last 10 records",
         "series": estimates,
     }

@@ -49,7 +49,6 @@ def estimate_center(trace) -> dict:
         "center": center,
         "drift": drift,
         "distance_to_h2_peak": peak_distance,
-        "t": last.t,
     }
 
 
@@ -107,13 +106,9 @@ def roundness_metrics(
     }
 
 
-def subspace_dimension(imm_or_points, tol: float = 1e-8) -> dict:
-    """Effective affine dimension of the vertex cloud by PCA thresholding."""
-    points = (
-        imm_or_points.vertices
-        if isinstance(imm_or_points, DiscreteImmersion)
-        else np.asarray(imm_or_points, dtype=float)
-    )
+def subspace_dimension(points, tol: float = 1e-8) -> dict:
+    """Effective affine dimension of a point cloud by PCA thresholding."""
+    points = np.asarray(points, dtype=float)
     if points.shape[0] < 2:
         raise ValueError("need at least two points")
     centered = points - points.mean(axis=0)

@@ -80,6 +80,7 @@ def _jsonable(value):
 
 def run(config: RunConfig, out_dir) -> int:
     """Execute one configured flow and write all artifacts; returns exit code."""
+    body = config.scene.body  # built when the config loaded; scene errors come first
     out_dir = str(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     snap_dir = os.path.join(out_dir, "snapshots")
@@ -95,7 +96,6 @@ def run(config: RunConfig, out_dir) -> int:
     params = MonitorParams(p_list=config.monitors.p_list, alphas=config.monitors.alphas)
     trace_path = os.path.join(out_dir, "trace.ndjson")
     try:
-        built = config.scene.build()
         # records stream to disk line-by-line so an interrupted run still
         # leaves a valid NDJSON prefix next to the MANIFEST
         with open(trace_path, "w") as fh:
@@ -105,13 +105,13 @@ def run(config: RunConfig, out_dir) -> int:
                 fh.flush()
 
             trace = run_until(
-                FlowState(immersion=built),
+                FlowState(immersion=body),
                 config.scheme,
                 params,
                 snapshot_every=config.snapshot_every,
                 on_record=emit,
             )
-        reports, summary = _final_reports(config, built, trace)
+        reports, summary = _final_reports(config, body, trace)
         if trace.snapshots:
             _write_snapshots(trace, snap_dir)
             manifest["artifacts"].append("snapshots")
@@ -142,7 +142,7 @@ def _write_snapshots(trace: FlowTrace, snap_dir: str) -> None:
     _dump(index, os.path.join(snap_dir, "index.json"))
 
 
-def _final_reports(config: RunConfig, built, trace: FlowTrace):
+def _final_reports(config: RunConfig, body, trace: FlowTrace):
     reports: list[MonitorReport] = []
     n = trace.intrinsic_dim
     summary: dict = {
@@ -156,7 +156,7 @@ def _final_reports(config: RunConfig, built, trace: FlowTrace):
     }
 
     if config.scene.is_analytic:
-        view = scene_state_view(built, trace.records[-1].t)
+        view = scene_state_view(body, trace.records[-1].t)
     else:
         imm = trace.final_state.immersion
         frames, forms = jet_forms(imm, ring=config.scheme.ring)
@@ -192,7 +192,7 @@ def _final_reports(config: RunConfig, built, trace: FlowTrace):
                 last.immersion, last.t, center_info["center"], blowup["T_hat_stabilized"]
             )
             summary["roundness"] = rsc.roundness_metrics(state.immersion)
-            summary["subspace"] = rsc.subspace_dimension(state.immersion)
+            summary["subspace"] = rsc.subspace_dimension(state.immersion.vertices)
 
     summary["verdicts"] = {r.name: r.verdict for r in reports}
     return reports, summary
@@ -228,11 +228,7 @@ def load_trace(trace_dir) -> FlowTrace:
         # the sidecars give n, so a mesh_file run never re-reads its source mesh
         n = snapshots[0].immersion.intrinsic_dim
     else:
-        scene = SceneSpec(
-            kind=manifest["config"]["scene"]["kind"],
-            params={k: v for k, v in manifest["config"]["scene"].items() if k != "kind"},
-        )
-        n = scene.intrinsic_dim()
+        n = SceneSpec.from_dict(manifest["config"]["scene"]).body.intrinsic_dim
     return FlowTrace(
         records=records,
         snapshots=snapshots,
@@ -253,6 +249,9 @@ def rescale_trace(trace_dir, T_hat=None, center=None, out_dir=None) -> dict:
     if center is None:
         center = rsc.estimate_center(trace)["center"]
     center = np.asarray(center, dtype=float)
+    dim = trace.snapshots[0].immersion.ambient_dim
+    if center.shape != (dim,) or not np.isfinite(center).all():
+        raise ValidationError(f"center must be {dim} finite coordinates", field="center")
     out_dir = os.path.join(str(trace_dir), "rescaled") if out_dir is None else str(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     series = []
@@ -291,7 +290,7 @@ def emit_plotdata(trace_dir, quantities, out_dir=None) -> str:
         if name in ("t", "dt", "vol", "h2_max", "h2_min", "a2_max"):
             return [getattr(r, name) for r in records]
         if name.startswith("aring_"):
-            p = float(name.split("_", 1)[1])
+            p = _suffix_value(name, name.split("_", 1)[1])
             try:
                 return [r.aring_p_norms[p] for r in records]
             except KeyError:
@@ -299,7 +298,7 @@ def emit_plotdata(trace_dir, quantities, out_dir=None) -> str:
         if name.startswith("st_integral"):
             suffix = name[len("st_integral") :].lstrip("_")
             keys = sorted(records[0].st_integral_alpha)
-            alpha = float(suffix) if suffix else keys[0]
+            alpha = _suffix_value(name, suffix) if suffix else keys[0]
             if alpha not in records[0].st_integral_alpha:
                 raise UnknownQuantity(f"trace lacks the alpha={alpha:g} integral")
             return [r.st_integral_alpha[alpha] for r in records]
@@ -315,6 +314,14 @@ def emit_plotdata(trace_dir, quantities, out_dir=None) -> str:
     return path
 
 
+def _suffix_value(name: str, suffix: str) -> float:
+    """The p or alpha that a column name such as ``aring_2`` carries."""
+    try:
+        return float(suffix)
+    except ValueError:
+        raise UnknownQuantity(f"unknown quantity {name!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # check suites
 
@@ -322,9 +329,9 @@ def _identity_reports(name: str, body) -> list[MonitorReport]:
     """Tracefree-trace and norm-decomposition identities (hard 1e-12 checks),
     plus informational structural residuals."""
     reports = []
+    n = body.intrinsic_dim
     if isinstance(body, DiscreteImmersion):
         frames, forms = jet_forms(body)
-        n = body.intrinsic_dim
         gauss = float(np.abs(gauss_residual(body, forms)).mean())
         deriv = derivative_data(body, frames, forms)
         codazzi = float(codazzi_residual(deriv).mean())
@@ -335,7 +342,6 @@ def _identity_reports(name: str, body) -> list[MonitorReport]:
         forms = tracefree_decompose(
             FundamentalForms(h=h, mean_curvature=None, aring=None, a2=None, h2=None, aring2=None)
         )
-        n = body.n
         gauss = codazzi = 0.0
         digest = scene_state_view(body, 0.0).digest
     trace_comp = np.einsum("vkaa->vk", forms.aring)
@@ -390,7 +396,7 @@ def default_battery(fast: bool = True) -> list[tuple[str, object]]:
 def check_suite(suite: str, scene: SceneSpec | None = None, fast: bool = True):
     """Run the identities or inequalities suite; returns (reports, exit_code)."""
     if scene is not None:
-        battery = [(scene.kind, scene.build())]
+        battery = [(scene.kind, scene.body)]
     else:
         battery = default_battery(fast=fast)
 
@@ -422,4 +428,4 @@ def oracle_record(scene: SceneSpec, t: float) -> dict:
     """Closed-form state of an analytic scene as a JSON-ready record."""
     if not scene.is_analytic:
         raise ValidationError("oracle requires an analytic scene", field="scene")
-    return scene.build().oracle_record(t)
+    return scene.body.oracle_record(t)

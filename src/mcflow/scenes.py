@@ -54,6 +54,8 @@ def _subdivide(verts, faces):
 
 def unit_sphere_mesh(subdiv: int):
     """Icosphere vertices on the unit sphere with 10*4^subdiv + 2 vertices."""
+    if subdiv < 0:
+        raise ValidationError("subdiv must be >= 0", field="subdiv")
     verts, faces = _icosahedron()
     for _ in range(subdiv):
         verts, faces = _subdivide(verts, faces)
@@ -69,7 +71,7 @@ def icosphere(
     subspace=None,
 ) -> DiscreteImmersion:
     """Triangulated round sphere, optionally embedded in a larger ambient space."""
-    if r0 <= 0:
+    if not r0 > 0:
         raise ValidationError("radius must be positive", field="r0")
     verts, faces = unit_sphere_mesh(subdiv)
     verts = verts * r0
@@ -82,7 +84,7 @@ def ellipsoid(
 ) -> DiscreteImmersion:
     """Icosphere stretched to the given semi-axes."""
     axes = np.asarray(semi_axes, dtype=float)
-    if axes.shape != (3,) or (axes <= 0).any():
+    if axes.shape != (3,) or not (axes > 0).all():
         raise ValidationError("semi_axes must be three positive lengths", field="semi_axes")
     verts, faces = unit_sphere_mesh(subdiv)
     verts = verts * axes
@@ -101,7 +103,7 @@ def polygon_circle(
     """Closed polygon inscribed in a circle; ``angles`` overrides uniform spacing."""
     if segments < 3:
         raise ValidationError("need at least 3 segments", field="segments")
-    if r0 <= 0:
+    if not r0 > 0:
         raise ValidationError("radius must be positive", field="r0")
     if angles is None:
         angles = 2.0 * np.pi * np.arange(segments) / segments
@@ -123,10 +125,12 @@ def clifford_torus(
     extra_codim: int = 0,
 ) -> DiscreteImmersion:
     """S^1(a0) x S^1(b0) in R^4 as a triangulated parameter grid."""
-    if a0 <= 0 or b0 <= 0:
+    if not (a0 > 0 and b0 > 0):
         raise ValidationError("torus radii must be positive", field="a0")
     if resolution < 3:
         raise ValidationError("resolution must be >= 3", field="resolution")
+    if extra_codim < 0:
+        raise ValidationError("extra_codim must be >= 0", field="extra_codim")
     m = resolution
     phi = 2.0 * np.pi * np.arange(m) / m
     psi = 2.0 * np.pi * np.arange(m) / m
@@ -208,7 +212,7 @@ def perturb_radially(imm: DiscreteImmersion, modes, center=None) -> DiscreteImme
     The summed amplitude must stay below 0.3 of the minimum radius factor.
     """
     total = sum(abs(m[2]) for m in modes)
-    if total >= 0.3:
+    if not total < 0.3:
         raise ValidationError(
             "perturbation amplitude must stay below 0.3 of the radius", field="modes"
         )

@@ -284,7 +284,7 @@ def test_criterion_08_rescaled_convergence_demo(perturbed_collapse_run):
         metrics = roundness_metrics(state.immersion, forms)
         pinches.append(metrics["pinch_ratio"])
         final_metrics = metrics
-    sub = subspace_dimension(trace.snapshots[-1].immersion)
+    sub = subspace_dimension(trace.snapshots[-1].immersion.vertices)
     ok = (
         trace.records[-1].a2_max >= 2000.0
         and pinches[-1] < pinches[0] / 10.0

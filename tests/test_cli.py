@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from mcflow import cli, runner
+from mcflow import cli, config as config_mod, runner
 from mcflow.analytic import SphereScene, sphere_state, spacetime_h_norm_closed_form
 from mcflow.config import config_from_dict, load_config, parse_scene
 from mcflow.errors import ParseError, UnknownQuantity, ValidationError
@@ -85,6 +85,83 @@ class TestLoadConfig:
         raw["scene"]["perturbation"] = {"modes": [[2, 0, 0.4]]}
         with pytest.raises(ValidationError):
             config_from_dict(raw)
+
+
+GON = {"kind": "polygon_circle", "segments": 16}
+SPHERE = {"kind": "icosphere", "subdiv": 1}
+
+
+def _small_run(scene=GON, **blocks):
+    raw = {"scene": scene, "stop": {"step_cap": 2}}
+    raw.update(blocks)
+    return raw
+
+
+CONFIG_MISTAKES = {
+    # values that only a scene constructor checks
+    "embed_subspace_shape": _small_run(
+        {**SPHERE, "ambient_dim": 5, "embed_subspace": np.eye(3).tolist()}
+    ),
+    "surface_in_the_plane": _small_run({**SPHERE, "ambient_dim": 2}),
+    "center_length": _small_run({**SPHERE, "center": [0.0, 0.0]}),
+    "two_segments": _small_run({**GON, "segments": 2}),
+    "torus_resolution": _small_run({"kind": "clifford_torus", "resolution": 2}),
+    "sphere_n_zero": _small_run({"kind": "analytic_sphere", "n": 0}),
+    "nan_semi_axis": _small_run({"kind": "ellipsoid", "semi_axes": [1.0, math.nan, 1.0]}),
+    "nan_amplitude": _small_run({**SPHERE, "perturbation": {"modes": [[2, 0, math.nan]]}}),
+    # values that are not numbers, are NaN or are out of range
+    "cfl_string": _small_run(scheme={"cfl": "x"}),
+    "t_end_string": _small_run(stop={"t_end": "x"}),
+    "alpha_string": _small_run(monitors={"alpha": "x"}),
+    "p_below_one": _small_run(monitors={"p": [0.5]}),
+    "ring_zero": _small_run(scheme={"ring": 0}),
+    "mode_of_two_numbers": _small_run({**GON, "perturbation": {"modes": [[2, 0]]}}),
+    "scene_string": _small_run("abc"),
+    "t_end_nan": _small_run(stop={"t_end": math.nan}),
+    "step_cap_nan": _small_run(stop={"step_cap": math.nan}),
+    "subdiv_negative": _small_run({**SPHERE, "subdiv": -1}),
+}
+
+
+@pytest.mark.parametrize("raw", CONFIG_MISTAKES.values(), ids=CONFIG_MISTAKES.keys())
+def test_config_mistake_exits_4_before_the_run_directory(tmp_path, capsys, raw):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 4
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class TestBuildOnce:
+    def test_mesh_file_source_is_parsed_once(self, tmp_path, monkeypatch):
+        write_snapshot(icosphere(subdiv=2), tmp_path / "mesh.csv")
+        real_read = config_mod.read_snapshot
+        reads = []
+
+        def counting_read(path):
+            reads.append(path)
+            return real_read(path)
+
+        monkeypatch.setattr(config_mod, "read_snapshot", counting_read)
+        scene = {"kind": "mesh_file", "path": str(tmp_path / "mesh.csv")}
+        cfg = config_from_dict({"scene": scene, "stop": {"step_cap": 2}})
+        assert runner.run(cfg, tmp_path / "out") == 0
+        assert len(reads) == 1
+
+    def test_exact_scene_is_built_once(self, tmp_path, monkeypatch):
+        real_post_init = SphereScene.__post_init__
+        builds = []
+
+        def counting_post_init(self):
+            builds.append(self.n)
+            real_post_init(self)
+
+        monkeypatch.setattr(SphereScene, "__post_init__", counting_post_init)
+        scene = {"kind": "analytic_sphere", "n": 2}
+        cfg = config_from_dict({"scene": scene, "stop": {"t_end": 0.1}})
+        assert runner.run(cfg, tmp_path / "out") == 0
+        assert builds == [2]
 
 
 class TestRun:
@@ -265,6 +342,33 @@ class TestCheckSuite:
         monkeypatch.setenv("MCFLOW_THREADS", "4")
         threaded, _ = runner.check_suite("inequalities", scene)
         assert [r.values for r in base] == [r.values for r in threaded]
+
+
+@pytest.fixture(scope="module")
+def r5_trace_dir(tmp_path_factory):
+    """A finished run of a curve in R^5 with snapshots."""
+    out = tmp_path_factory.mktemp("r5") / "run"
+    cfg = config_from_dict(
+        _small_run({**GON, "ambient_dim": 5}, stop={"step_cap": 4}, snapshot_every=2)
+    )
+    assert runner.run(cfg, out) == 0
+    return out
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["rescale", "--center", "1,2"], 4),
+        (["rescale", "--center", "a,b,c"], 4),
+        (["plot", "--vars", "aring_x"], 3),
+        (["plot", "--vars", "st_integral_x"], 3),
+    ],
+    ids=["center_length", "center_letters", "aring_suffix", "st_integral_suffix"],
+)
+def test_bad_rescale_and_plot_arguments_exit_cleanly(r5_trace_dir, capsys, argv, code):
+    assert cli.main([argv[0], "--trace", str(r5_trace_dir), *argv[1:]]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error" if code == 4 else "numerical failure")
 
 
 class TestCliEntry:

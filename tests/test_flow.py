@@ -327,6 +327,22 @@ class TestSchemeConfigValidation:
         with pytest.raises(ValidationError):
             SchemeConfig(scheme="leapfrog", stop=StopRule(step_cap=1))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: StopRule(t_end=math.nan),
+            lambda: StopRule(max_a2=math.nan),
+            lambda: StopRule(step_cap=math.nan),
+            lambda: SchemeConfig(cfl=math.nan),
+            lambda: SchemeConfig(dt_max=math.nan),
+            lambda: SchemeConfig(ring=0),
+        ],
+        ids=["t_end_nan", "max_a2_nan", "step_cap_nan", "cfl_nan", "dt_max_nan", "ring_zero"],
+    )
+    def test_nan_and_out_of_range_values(self, make):
+        with pytest.raises(ValidationError):
+            make()
+
 
 class TestTraceRecordSchema:
     @settings(max_examples=25, deadline=None)

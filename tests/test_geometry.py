@@ -21,6 +21,7 @@ from mcflow.errors import (
     FitUnderdetermined,
     InvalidImmersion,
     NeighborhoodRankDeficient,
+    ValidationError,
 )
 from mcflow.mesh import (
     DiscreteImmersion,
@@ -34,6 +35,7 @@ from mcflow.scenes import (
     ellipsoid,
     embed_immersion,
     icosphere,
+    perturb_radially,
     polygon_circle,
 )
 
@@ -129,6 +131,31 @@ class TestValidation:
         with pytest.raises(error) as stepped:
             base.with_vertices(verts)
         assert str(stepped.value) == str(fresh.value)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: icosphere(subdiv=1, r0=math.nan),
+            lambda: icosphere(subdiv=-1),
+            lambda: polygon_circle(segments=8, r0=math.nan),
+            lambda: ellipsoid([1.0, math.nan, 1.0], subdiv=1),
+            lambda: clifford_torus(math.nan, 1.0, resolution=8),
+            lambda: clifford_torus(resolution=8, extra_codim=-1),
+            lambda: perturb_radially(icosphere(subdiv=1), [(2, 0, math.nan)]),
+        ],
+        ids=[
+            "nan_radius",
+            "negative_subdiv",
+            "nan_circle_radius",
+            "nan_semi_axis",
+            "nan_torus_radius",
+            "negative_extra_codim",
+            "nan_amplitude",
+        ],
+    )
+    def test_scene_constructors_check_their_values(self, build):
+        with pytest.raises(ValidationError):
+            build()
 
     def test_inconsistent_orientation(self):
         imm = icosphere(subdiv=1)

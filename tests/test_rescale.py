@@ -126,7 +126,7 @@ class TestRoundness:
 class TestSubspaceDimension:
     def test_sphere_in_coordinate_subspace(self):
         imm = embed_immersion(icosphere(subdiv=3), 5)
-        out = subspace_dimension(imm)
+        out = subspace_dimension(imm.vertices)
         assert out["dim"] == 3
         assert out["residual"] <= 1e-8
 

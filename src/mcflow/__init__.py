@@ -7,8 +7,6 @@ from .analytic import (
     hoffman_spruck_constant,
     sobolev_check_zonal,
     spacetime_h_norm_closed_form,
-    sphere_product_state,
-    sphere_state,
     unit_ball_volume,
     unit_sphere_area,
 )
@@ -42,11 +40,10 @@ from .monitors import (
     blowup_estimate,
     inequality_suite,
     lp_norm,
-    mesh_state_view,
     moser_ratio,
     pinching_andrews_baker,
     pinching_linear,
-    scene_state_view,
+    state_view,
 )
 from .rescale import (
     RescaledState,

@@ -88,7 +88,7 @@ class SphereScene:
     def state(self, t: float) -> SphereState:
         """Exact curvature record of the shrinking sphere at time t."""
         T = self.collapse_time
-        if t < 0 or t >= T:
+        if not 0 <= t < T:
             raise PastSingularity(f"t={t} outside [0, {T})")
         n = self.n
         r = math.sqrt(self.r0 ** 2 - 2.0 * n * t)
@@ -126,7 +126,7 @@ class SphereScene:
         if alpha < 1:
             raise ValidationError("alpha must be >= 1", field="alpha")
         T = self.collapse_time
-        if t_end < 0 or t_end >= T:
+        if not 0 <= t_end < T:
             raise PastSingularity(f"t_end={t_end} outside [0, {T})")
         if t_end == 0:
             return 0.0
@@ -193,7 +193,7 @@ class SphereProductScene:
     def state(self, t: float) -> SphereProductState:
         """Exact curvature record of the shrinking sphere product at time t."""
         T = self.collapse_time
-        if t < 0 or t >= T:
+        if not 0 <= t < T:
             raise PastSingularity(f"t={t} outside [0, {T})")
         p, q = self.p, self.q
         a = math.sqrt(self.a0 ** 2 - 2.0 * p * t)
@@ -258,12 +258,6 @@ class SphereProductState:
     aring2: float
     vol: float
     T: float
-
-
-# function-style names for the closed forms
-sphere_state = SphereScene.state
-sphere_product_state = SphereProductScene.state
-spacetime_h_integral = SphereScene.spacetime_integral
 
 
 def spacetime_h_norm_closed_form(scene: SphereScene, alpha: float, t_end: float) -> float:

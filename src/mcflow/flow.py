@@ -20,13 +20,14 @@ from scipy.sparse.linalg import splu
 from .curvature import DEFAULT_RING, jet_forms
 from .errors import (
     MaxStepsExceeded,
+    McflowError,
     SolverFailure,
     StepRejected,
     UnsupportedDimension,
     ValidationError,
 )
 from .mesh import DiscreteImmersion, element_measures, measure_weights
-from .monitors import SpacetimeAccumulator, lp_norm, mesh_state_view, scene_state_view
+from .monitors import SpacetimeAccumulator, StateView, lp_norm, state_view
 
 
 @dataclass
@@ -129,6 +130,7 @@ class FlowTrace:
     status: str  # "stopped" | "singular"; a trace read from disk: the MANIFEST status
     stop_reason: str
     intrinsic_dim: int
+    final_view: StateView | None = None  # of final_state; None for a trace read from disk
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +223,7 @@ def step_explicit(
         h_field = forms.mean_curvature
     try:
         new = _checked(imm, imm.vertices + dt * h_field)
-    except Exception as exc:
+    except McflowError as exc:
         raise StepRejected(f"explicit step degenerated: {exc}") from exc
     return FlowState(new, state.t + dt, state.step_index + 1)
 
@@ -241,13 +243,11 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
         new_vertices = np.column_stack(
             [solver.solve(mass * imm.vertices[:, c]) for c in range(imm.ambient_dim)]
         )
-    except StepRejected:
-        raise
-    except Exception as exc:
+    except (McflowError, RuntimeError, np.linalg.LinAlgError) as exc:
         raise SolverFailure(f"implicit solve failed: {exc}") from exc
     try:
         new = _checked(imm, new_vertices)
-    except Exception as exc:
+    except McflowError as exc:
         raise StepRejected(f"implicit step degenerated: {exc}") from exc
     return FlowState(new, state.t + dt, state.step_index + 1)
 
@@ -330,15 +330,10 @@ def run_until(
     status, reason = "stopped", ""
 
     def snapshot(st: FlowState, view):
-        scalars = {"H2": view.h2, "A2": view.a2, "Aring2": view.aring2, "weight": view.weights}
-        snapshots.append(Snapshot(st.step_index, st.t, st.immersion, scalars))
+        snapshots.append(Snapshot(st.step_index, st.t, st.immersion, view.scalars()))
 
     def observe(st: FlowState, dt: float):
-        if mesh:
-            _, forms = jet_forms(st.immersion, ring=cfg.ring)
-            view = mesh_state_view(st.immersion, forms)
-        else:
-            forms, view = None, scene_state_view(body, st.t)
+        view = state_view(st.immersion, st.t, cfg.ring)
         aring = np.sqrt(np.clip(view.aring2, 0.0, None))
         habs = np.sqrt(np.clip(view.h2, 0.0, None))
         integrals = {}
@@ -363,9 +358,9 @@ def run_until(
             on_record(records[-1])
         if snapshot_every and (st.step_index % snapshot_every == 0 or dt == 0.0):
             snapshot(st, view)
-        return forms, view
+        return view
 
-    forms, view = observe(state, 0.0)
+    view = observe(state, 0.0)
     accepted = 0
     while True:
         stop = cfg.stop
@@ -389,7 +384,7 @@ def run_until(
         if mesh:
             try:
                 if cfg.scheme == "explicit":
-                    state = step_explicit(state, dt, h_field=forms.mean_curvature)
+                    state = step_explicit(state, dt, h_field=view.forms.mean_curvature)
                 else:
                     state = step_semi_implicit(state, dt)
             except StepRejected as exc:
@@ -400,7 +395,7 @@ def run_until(
         else:
             dt = min(dt, 0.5 * (body.collapse_time - state.t))  # never step past collapse
             state = FlowState(body, state.t + dt, state.step_index + 1)
-        forms, view = observe(state, dt)
+        view = observe(state, dt)
 
     if snapshot_every and (not snapshots or snapshots[-1].step != state.step_index):
         snapshot(state, view)
@@ -411,4 +406,5 @@ def run_until(
         status=status,
         stop_reason=reason,
         intrinsic_dim=n,
+        final_view=view,
     )

@@ -8,6 +8,7 @@ constants.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -17,7 +18,14 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from . import analytic
-from .curvature import DerivativeData, FundamentalForms, derivative_data, jet_forms
+from .curvature import (
+    DEFAULT_RING,
+    DerivativeData,
+    FrameField,
+    FundamentalForms,
+    derivative_data,
+    jet_forms,
+)
 from .errors import UnsupportedDimension, WindowNotCovered
 from .mesh import DiscreteImmersion, measure_weights
 
@@ -81,19 +89,21 @@ class StateView:
 
     Mesh states carry one entry per vertex; analytic states are homogeneous,
     so a single entry with the total volume as weight represents them.
+    ``frames`` and ``forms`` are a mesh's jet fit (None for an exact scene);
+    the diameter and the covariant derivatives are computed on first use.
     """
 
+    body: object  # the DiscreteImmersion or exact scene in view
+    t: float
     n: int
     a2: np.ndarray
     h2: np.ndarray
     aring2: np.ndarray
     weights: np.ndarray
     vol: float
-    grad_a2: np.ndarray | None = None
-    grad_h2: np.ndarray | None = None
-    grad_aring2: np.ndarray | None = None
-    _diameter: float | None = None
-    _diameter_fn: object = None
+    frames: FrameField | None = None
+    forms: FundamentalForms | None = None
+    ring: int = DEFAULT_RING
     digest: str = ""
 
     def __post_init__(self):
@@ -102,12 +112,24 @@ class StateView:
                 self.n, self.a2, self.h2, self.aring2, self.weights, self.vol
             )
 
-    @property
-    def diameter(self) -> float | None:
-        if self._diameter is None and self._diameter_fn is not None:
-            self._diameter = float(self._diameter_fn())
-            self._diameter_fn = None
-        return self._diameter
+    @functools.cached_property
+    def diameter(self) -> float:
+        if self.forms is None:
+            return float(self.body.diameter(self.t))
+        return graph_diameter(self.body)
+
+    @functools.cached_property
+    def derivatives(self) -> DerivativeData:
+        """Covariant derivatives of the fitted forms; zero on exact scenes."""
+        if self.forms is None:
+            zero = np.zeros(1)
+            h_k = np.zeros((1, *self.body.form_components(self.t).shape, self.n))
+            return DerivativeData(h_k=h_k, grad_a2=zero, grad_h2=zero, grad_aring2=zero)
+        return derivative_data(self.body, self.frames, self.forms, ring=self.ring)
+
+    def scalars(self) -> dict:
+        """Per-vertex snapshot columns."""
+        return {"H2": self.h2, "A2": self.a2, "Aring2": self.aring2, "weight": self.weights}
 
 
 def _digest(*parts) -> str:
@@ -141,49 +163,32 @@ def graph_diameter(imm: DiscreteImmersion) -> float:
     return float(dist.max())
 
 
-def mesh_state_view(
-    imm: DiscreteImmersion,
-    forms: FundamentalForms | None = None,
-    deriv: DerivativeData | None = None,
-    with_gradients: bool = False,
-) -> StateView:
-    fit_gradients = with_gradients and deriv is None
-    if forms is None or fit_gradients:
-        frames, fitted = jet_forms(imm)
-        forms = fitted if forms is None else forms
-    if fit_gradients:
-        deriv = derivative_data(imm, frames, forms)
-    weights = measure_weights(imm)
+def state_view(body, t: float = 0.0, ring: int = DEFAULT_RING) -> StateView:
+    """Curvature view of a mesh (jet-fitted once) or of an exact scene at time t.
+
+    ``t`` is read only by exact scenes; ``ring`` only by meshes.
+    """
+    if isinstance(body, DiscreteImmersion):
+        frames, forms = jet_forms(body, ring=ring)
+        a2, h2, aring2 = forms.a2, forms.h2, forms.aring2
+        weights = measure_weights(body)
+    else:
+        st = body.state(t)
+        frames = forms = None
+        fields = (st.a2, st.h2, st.aring2, st.vol)
+        a2, h2, aring2, weights = (np.array([x], float) for x in fields)
     return StateView(
-        n=imm.intrinsic_dim,
-        a2=forms.a2,
-        h2=forms.h2,
-        aring2=forms.aring2,
+        body=body,
+        t=t,
+        n=body.intrinsic_dim,
+        a2=a2,
+        h2=h2,
+        aring2=aring2,
         weights=weights,
         vol=float(weights.sum()),
-        grad_a2=None if deriv is None else deriv.grad_a2,
-        grad_h2=None if deriv is None else deriv.grad_h2,
-        grad_aring2=None if deriv is None else deriv.grad_aring2,
-        _diameter_fn=lambda: graph_diameter(imm),
-    )
-
-
-def scene_state_view(scene, t: float) -> StateView:
-    """Homogeneous view of an exact scene; gradients vanish identically."""
-    st = scene.state(t)
-    one = np.ones(1)
-    zero = np.zeros(1)
-    return StateView(
-        n=scene.n,
-        a2=st.a2 * one,
-        h2=st.h2 * one,
-        aring2=st.aring2 * one,
-        weights=st.vol * one,
-        vol=st.vol,
-        grad_a2=zero,
-        grad_h2=zero,
-        grad_aring2=zero,
-        _diameter_fn=lambda: scene.diameter(t),
+        frames=frames,
+        forms=forms,
+        ring=ring,
     )
 
 
@@ -248,7 +253,7 @@ def _topping_report(view: StateView) -> MonitorReport:
     n = view.n
     integral = float(view.weights @ np.sqrt(np.clip(view.h2, 0.0, None)) ** (n - 1))
     diam = view.diameter
-    ratio = None if diam is None or integral == 0 else diam / integral
+    ratio = diam / integral if integral else None
     return MonitorReport(
         name="topping_ratio",
         digest=view.digest,
@@ -267,16 +272,17 @@ def _gradient_reports(view: StateView) -> list[MonitorReport]:
     # parabolic rescaling; at unit radius this is the plain 1e-2 floor up to
     # an O(1) factor.
     n = view.n
-    if n < 2 or view.grad_a2 is None:
+    if n < 2:
         return []
+    deriv = view.derivatives
     band = GRADIENT_NOISE_FLOOR * max(float(view.a2.max()), 0.0) ** 2
     out = []
     for name, lhs_arr, coeff in (
-        ("gradient_a_vs_aring", view.grad_a2, 3.0 * n / (2.0 * (n - 1.0))),
-        ("gradient_h_vs_aring", view.grad_h2, 3.0 * n ** 2 / (2.0 * (n - 1.0))),
+        ("gradient_a_vs_aring", deriv.grad_a2, 3.0 * n / (2.0 * (n - 1.0))),
+        ("gradient_h_vs_aring", deriv.grad_h2, 3.0 * n ** 2 / (2.0 * (n - 1.0))),
     ):
-        raw = lhs_arr - coeff * view.grad_aring2
-        margin = float(((lhs_arr - band) - coeff * (view.grad_aring2 + band)).max())
+        raw = lhs_arr - coeff * deriv.grad_aring2
+        margin = float(((lhs_arr - band) - coeff * (deriv.grad_aring2 + band)).max())
         out.append(
             MonitorReport(
                 name=name,

@@ -21,9 +21,7 @@ from .config import RunConfig, SceneSpec
 from .curvature import (
     FundamentalForms,
     codazzi_residual,
-    derivative_data,
     gauss_residual,
-    jet_forms,
     tracefree_decompose,
 )
 from .errors import (
@@ -40,7 +38,7 @@ from .flow import (
     estimator_discrepancy,
     run_until,
 )
-from .mesh import DiscreteImmersion, measure_weights, read_snapshot, write_snapshot
+from .mesh import read_snapshot, write_snapshot
 from .monitors import (
     HOLDS,
     INFORMATIONAL,
@@ -48,11 +46,10 @@ from .monitors import (
     MonitorReport,
     blowup_estimate,
     inequality_suite,
-    mesh_state_view,
     moser_ratio,
     pinching_andrews_baker,
     pinching_linear,
-    scene_state_view,
+    state_view,
 )
 
 EXIT_OK = 0
@@ -111,7 +108,7 @@ def run(config: RunConfig, out_dir) -> int:
                 snapshot_every=config.snapshot_every,
                 on_record=emit,
             )
-        reports, summary = _final_reports(config, body, trace)
+        reports, summary = _final_reports(config, trace)
         if trace.snapshots:
             _write_snapshots(trace, snap_dir)
             manifest["artifacts"].append("snapshots")
@@ -142,7 +139,7 @@ def _write_snapshots(trace: FlowTrace, snap_dir: str) -> None:
     _dump(index, os.path.join(snap_dir, "index.json"))
 
 
-def _final_reports(config: RunConfig, body, trace: FlowTrace):
+def _final_reports(config: RunConfig, trace: FlowTrace):
     reports: list[MonitorReport] = []
     n = trace.intrinsic_dim
     summary: dict = {
@@ -155,16 +152,9 @@ def _final_reports(config: RunConfig, body, trace: FlowTrace):
         },
     }
 
-    if config.scene.is_analytic:
-        view = scene_state_view(body, trace.records[-1].t)
-    else:
-        imm = trace.final_state.immersion
-        frames, forms = jet_forms(imm, ring=config.scheme.ring)
-        deriv = (
-            derivative_data(imm, frames, forms, ring=config.scheme.ring) if n >= 2 else None
-        )
-        view = mesh_state_view(imm, forms, deriv)
-        gap = estimator_discrepancy(imm, forms)
+    view = trace.final_view
+    if view.forms is not None:
+        gap = estimator_discrepancy(view.body, view.forms)
         summary["estimator_discrepancy_median"] = gap
         summary["under_resolved"] = gap > 0.10
 
@@ -259,19 +249,10 @@ def rescale_trace(trace_dir, T_hat=None, center=None, out_dir=None) -> dict:
         if snap.t >= T_hat:
             continue
         state = rsc.parabolic_rescale(snap.immersion, snap.t, center, T_hat)
-        _, forms = jet_forms(state.immersion)
-        metrics = rsc.roundness_metrics(state.immersion, forms)
+        view = state_view(state.immersion)
+        metrics = rsc.roundness_metrics(state.immersion, view.forms)
         name = f"rescaled_{snap.step:06d}.csv"
-        write_snapshot(
-            state.immersion,
-            os.path.join(out_dir, name),
-            {
-                "H2": forms.h2,
-                "A2": forms.a2,
-                "Aring2": forms.aring2,
-                "weight": measure_weights(state.immersion),
-            },
-        )
+        write_snapshot(state.immersion, os.path.join(out_dir, name), view.scalars())
         series.append(
             {"step": snap.step, "t": snap.t, "lambda": state.lam, "file": name, **metrics}
         )
@@ -329,21 +310,18 @@ def _identity_reports(name: str, body) -> list[MonitorReport]:
     """Tracefree-trace and norm-decomposition identities (hard 1e-12 checks),
     plus informational structural residuals."""
     reports = []
-    n = body.intrinsic_dim
-    if isinstance(body, DiscreteImmersion):
-        frames, forms = jet_forms(body)
-        gauss = float(np.abs(gauss_residual(body, forms)).mean())
-        deriv = derivative_data(body, frames, forms)
-        codazzi = float(codazzi_residual(deriv).mean())
-        digest = mesh_state_view(body, forms).digest
-    else:
+    view = state_view(body)
+    n, digest, forms = view.n, view.digest, view.forms
+    if forms is None:
         # the exact scene as one homogeneous point of the same field layout
         h = body.form_components(0.0)[None]
         forms = tracefree_decompose(
             FundamentalForms(h=h, mean_curvature=None, aring=None, a2=None, h2=None, aring2=None)
         )
-        gauss = codazzi = 0.0
-        digest = scene_state_view(body, 0.0).digest
+        gauss = 0.0
+    else:
+        gauss = float(np.abs(gauss_residual(body, forms)).mean())
+    codazzi = float(codazzi_residual(view.derivatives).mean())
     trace_comp = np.einsum("vkaa->vk", forms.aring)
     scale = np.maximum(np.sqrt(forms.a2)[:, None], 1e-300)
     trace_rel = float(np.abs(trace_comp / scale).max())
@@ -405,10 +383,7 @@ def check_suite(suite: str, scene: SceneSpec | None = None, fast: bool = True):
         if suite == "identities":
             reports.extend(_identity_reports(name, item))
         elif suite == "inequalities":
-            if isinstance(item, DiscreteImmersion):
-                view = mesh_state_view(item, with_gradients=item.intrinsic_dim >= 2)
-            else:
-                view = scene_state_view(item, 0.0)
+            view = state_view(item)
             suite_reports = inequality_suite(view)
             for rep in suite_reports:
                 rep.name = f"{name}:{rep.name}"

@@ -16,19 +16,16 @@ from mcflow.analytic import (
     SphereProductScene,
     SphereScene,
     hoffman_spruck_constant,
-    sphere_product_state,
-    sphere_state,
     unit_sphere_area,
 )
 from mcflow.config import config_from_dict
-from mcflow.curvature import derivative_data, gauss_residual, jet_forms
+from mcflow.curvature import gauss_residual, jet_forms
 from mcflow.flow import FlowState, MonitorParams, SchemeConfig, StopRule, run_until
 from mcflow.monitors import (
     HOLDS,
     blowup_estimate,
     inequality_suite,
-    mesh_state_view,
-    scene_state_view,
+    state_view,
 )
 from mcflow.rescale import (
     estimate_center,
@@ -89,7 +86,7 @@ def test_criterion_01_analytic_backend_exactness():
         scene = SphereScene(n=n, d=d, r0=r0)
         T = r0 ** 2 / (2.0 * n)
         for t in np.linspace(0.0, 0.99 * T, 100):
-            st = sphere_state(scene, t)
+            st = scene.state(t)
             r2 = r0 ** 2 - 2.0 * n * t
             for got, want in (
                 (st.r ** 2, r2),
@@ -103,7 +100,7 @@ def test_criterion_01_analytic_backend_exactness():
     for p, q, a0, b0 in product_combos:
         scene = SphereProductScene(p=p, q=q, a0=a0, b0=b0)
         for t in np.linspace(0.0, 0.99 * scene.collapse_time, 100):
-            st = sphere_product_state(scene, t)
+            st = scene.state(t)
             a2, b2 = a0 ** 2 - 2 * p * t, b0 ** 2 - 2 * q * t
             h2 = p ** 2 / a2 + q ** 2 / b2
             a2_norm = p / a2 + q / b2
@@ -111,7 +108,7 @@ def test_criterion_01_analytic_backend_exactness():
             worst = max(worst, abs(st.a2 - a2_norm) / a2_norm)
     clifford = SphereProductScene(p=1, q=1, a0=1.0, b0=1.0)
     for t in np.linspace(0.0, 0.99 * clifford.collapse_time, 100):
-        st = sphere_product_state(clifford, t)
+        st = clifford.state(t)
         worst = max(worst, abs(st.aring2 / st.h2 - 0.5))
     combos_ok = worst <= 1e-12
     _report(1, "analytic backend exactness", combos_ok, f"worst rel err {worst:.2e}")
@@ -236,13 +233,7 @@ def test_criterion_07_inequality_suite():
         ("s2xs1", SphereProductScene(p=2, q=1)),
     ]
     for name, item in battery:
-        if isinstance(item, SphereProductScene):
-            view = scene_state_view(item, 0.0)
-        else:
-            frames, forms = jet_forms(item)
-            deriv = derivative_data(item, frames, forms)
-            view = mesh_state_view(item, forms, deriv)
-        reports = {r.name: r for r in inequality_suite(view)}
+        reports = {r.name: r for r in inequality_suite(state_view(item))}
         for check in (
             "chen_total_mean_curvature",
             "hmax_lower_bound",

@@ -13,10 +13,7 @@ from mcflow.analytic import (
     calibrated_sobolev_constant,
     hoffman_spruck_constant,
     sobolev_check_zonal,
-    spacetime_h_integral,
     spacetime_h_norm_closed_form,
-    sphere_product_state,
-    sphere_state,
     unit_ball_volume,
     unit_sphere_area,
     zonal_integral,
@@ -62,7 +59,7 @@ class TestConstants:
 
 class TestSphereState:
     def test_unit_two_sphere_at_zero(self):
-        st_ = sphere_state(SphereScene(n=2, r0=1.0), 0.0)
+        st_ = SphereScene(n=2, r0=1.0).state(0.0)
         assert st_.h2 == pytest.approx(4.0, rel=1e-15)
         assert st_.a2 == pytest.approx(2.0, rel=1e-15)
         assert st_.aring2 == 0.0
@@ -70,22 +67,35 @@ class TestSphereState:
         assert st_.vol == pytest.approx(4 * math.pi, rel=1e-15)
 
     def test_three_sphere_mid_flow(self):
-        st_ = sphere_state(SphereScene(n=3, r0=1.0), 1.0 / 12.0)
+        st_ = SphereScene(n=3, r0=1.0).state(1.0 / 12.0)
         assert st_.r ** 2 == pytest.approx(0.5, rel=1e-14)
         assert st_.h2 == pytest.approx(18.0, rel=1e-14)
 
     def test_blowup_near_collapse(self):
         scene = SphereScene(n=2, r0=1.0)
-        st_ = sphere_state(scene, scene.collapse_time * (1 - 1e-12))
+        st_ = scene.state(scene.collapse_time * (1 - 1e-12))
         assert st_.r < 2e-6
         assert st_.h2 > 1e11
 
     def test_past_singularity(self):
         scene = SphereScene(n=2, r0=1.0)
         with pytest.raises(PastSingularity):
-            sphere_state(scene, scene.collapse_time)
+            scene.state(scene.collapse_time)
         with pytest.raises(PastSingularity):
-            sphere_state(scene, -1e-9)
+            scene.state(-1e-9)
+
+    @pytest.mark.parametrize(
+        "closed_form",
+        [
+            lambda t: SphereScene(n=2).state(t),
+            lambda t: SphereProductScene(p=2, q=1).state(t),
+            lambda t: SphereScene(n=2).spacetime_integral(4.0, t),
+        ],
+        ids=["sphere_state", "product_state", "spacetime_integral"],
+    )
+    def test_nan_time_rejected(self, closed_form):
+        with pytest.raises(PastSingularity):
+            closed_form(math.nan)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -98,8 +108,8 @@ class TestSphereState:
         scene = SphereScene(n=n, r0=r0)
         t = frac * scene.collapse_time
         scaled = SphereScene(n=n, r0=lam * r0)
-        a = sphere_state(scene, t)
-        b = sphere_state(scaled, lam ** 2 * t)
+        a = scene.state(t)
+        b = scaled.state(lam ** 2 * t)
         assert b.r == pytest.approx(lam * a.r, rel=1e-12)
         assert b.h2 == pytest.approx(a.h2 / lam ** 2, rel=1e-12)
         assert b.vol == pytest.approx(a.vol * lam ** n, rel=1e-12)
@@ -109,16 +119,16 @@ class TestSphereProductState:
     def test_clifford_ratio_constant(self):
         scene = SphereProductScene(p=1, q=1, a0=1.0, b0=1.0)
         for t in (0.0, 0.1, 0.2, 0.24):
-            st_ = sphere_product_state(scene, t)
+            st_ = scene.state(t)
             assert st_.aring2 / st_.h2 == pytest.approx(0.5, rel=1e-13)
 
     def test_s2xs1_at_zero(self):
-        st_ = sphere_product_state(SphereProductScene(p=2, q=1), 0.0)
+        st_ = SphereProductScene(p=2, q=1).state(0.0)
         assert st_.h2 == pytest.approx(5.0, rel=1e-15)
         assert st_.a2 == pytest.approx(3.0, rel=1e-15)
 
     def test_s2xs2_violates_pinching(self):
-        st_ = sphere_product_state(SphereProductScene(p=2, q=2), 0.0)
+        st_ = SphereProductScene(p=2, q=2).state(0.0)
         n = 4
         assert st_.a2 == pytest.approx(4.0, rel=1e-15)
         assert st_.a2 > st_.h2 / (n - 1)  # 4 > 8/3
@@ -127,7 +137,7 @@ class TestSphereProductState:
         # p/a0^2 == q/b0^2 shrinks homothetically
         scene = SphereProductScene(p=2, q=1, a0=math.sqrt(2.0), b0=1.0)
         ratios = [
-            sphere_product_state(scene, t).aring2 / sphere_product_state(scene, t).h2
+            scene.state(t).aring2 / scene.state(t).h2
             for t in np.linspace(0.0, 0.9 * scene.collapse_time, 7)
         ]
         assert np.ptp(ratios) < 1e-13
@@ -136,7 +146,7 @@ class TestSphereProductState:
         scene = SphereProductScene(p=2, q=1, a0=1.0, b0=3.0)
         assert scene.collapse_time == pytest.approx(0.25, rel=1e-15)
         with pytest.raises(PastSingularity):
-            sphere_product_state(scene, 0.25)
+            scene.state(0.25)
 
 
 class TestSceneFormComponents:
@@ -182,8 +192,8 @@ class TestSpacetimeNorm:
         # the generic quadrature path evaluated just off alpha = n+2
         scene = SphereScene(n=2, r0=1.3)
         t_end = 0.7 * scene.collapse_time
-        exact = spacetime_h_integral(scene, 4.0, t_end)
-        near = spacetime_h_integral(scene, 4.0 + 1e-9, t_end)
+        exact = scene.spacetime_integral(4.0, t_end)
+        near = scene.spacetime_integral(4.0 + 1e-9, t_end)
         assert near == pytest.approx(exact, rel=1e-6)
 
     def test_monotone_divergence(self):
@@ -191,7 +201,7 @@ class TestSpacetimeNorm:
         scene = SphereScene(n=2, r0=1.0)
         fractions = 1 - np.logspace(-1, -9, 9)
         values = [
-            spacetime_h_integral(scene, 4.0, f * scene.collapse_time)
+            scene.spacetime_integral(4.0, f * scene.collapse_time)
             for f in fractions
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
@@ -273,7 +283,7 @@ class TestSobolevCheckers:
         scene = SphereScene(n=3, r0=1.0)
         c = 2.5
         rep = sobolev_check_zonal(scene, 0.0, ZonalFunction((c,)), "curvature_weighted", c_n=1.0)
-        st_ = sphere_state(scene, 0.0)
+        st_ = scene.state(0.0)
         n = 3
         assert rep.lhs == pytest.approx(
             c ** 2 * st_.vol ** ((n - 2) / n), rel=1e-12

@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from mcflow import cli, config as config_mod, runner
-from mcflow.analytic import SphereScene, sphere_state, spacetime_h_norm_closed_form
+from mcflow import cli, config as config_mod, curvature, runner
+from mcflow.analytic import SphereScene, spacetime_h_norm_closed_form
 from mcflow.config import config_from_dict, load_config, parse_scene
 from mcflow.errors import ParseError, UnknownQuantity, ValidationError
 from mcflow.flow import FlowTrace
@@ -163,6 +163,22 @@ class TestBuildOnce:
         assert runner.run(cfg, tmp_path / "out") == 0
         assert builds == [2]
 
+    def test_run_fits_once_per_record(self, tmp_path, monkeypatch):
+        real_build = curvature.build_frames
+        fits = []
+
+        def counting_build(*args, **kwargs):
+            fits.append(args[0].num_vertices)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(curvature, "build_frames", counting_build)
+        steps = 3
+        # no snapshots, so no rescaled final snapshot to fit for its roundness
+        cfg = config_from_dict(minimal_config(stop={"step_cap": steps}, snapshot_every=0))
+        assert runner.run(cfg, tmp_path / "out") == 0
+        # one fit per trace record; the final reports reuse the last one
+        assert len(fits) == steps + 1
+
 
 class TestRun:
     def test_mesh_run_artifacts(self, tmp_path):
@@ -195,7 +211,7 @@ class TestRun:
         records = runner.read_trace_records(out)
         scene = SphereScene(n=2, r0=1.0)
         for rec in records:
-            st = sphere_state(scene, rec.t)
+            st = scene.state(rec.t)
             assert rec.vol == pytest.approx(st.vol, rel=1e-13)
             assert rec.h2_max == pytest.approx(st.h2, rel=1e-13)
             assert rec.st_integral_alpha[4.0] == pytest.approx(
@@ -393,6 +409,11 @@ class TestCliEntry:
         assert code == 0
         record = json.loads(capsys.readouterr().out)
         assert record["h2"] == pytest.approx(18.0, rel=1e-10)
+
+    def test_oracle_nan_time_is_a_numerical_failure(self, capsys):
+        code = cli.main(["oracle", "--scene", '{"kind": "analytic_sphere"}', "--t", "nan"])
+        assert code == 3
+        assert capsys.readouterr().out == ""
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from conftest import random_rotation
 from mcflow.analytic import SphereProductScene, SphereScene
+from mcflow import flow
 from mcflow.curvature import jet_forms
 from mcflow.errors import (
     MaxStepsExceeded,
+    SolverFailure,
     StepRejected,
     UnsupportedDimension,
     ValidationError,
@@ -122,6 +124,22 @@ class TestSemiImplicitStep:
         imm = embed_immersion(icosphere(subdiv=2), 5)
         state = step_semi_implicit(FlowState(immersion=imm), 5e-3)
         assert np.abs(state.immersion.vertices[:, 3:]).max() == 0.0
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken_assembly(imm):
+            raise TypeError("broken assembly")
+
+        monkeypatch.setattr(flow, "laplace_beltrami", broken_assembly)
+        with pytest.raises(TypeError, match="broken assembly"):
+            step_semi_implicit(FlowState(immersion=icosphere(subdiv=1)), 1e-3)
+
+    def test_factorization_error_is_a_solver_failure(self, monkeypatch):
+        def singular_factor(system):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(flow, "splu", singular_factor)
+        with pytest.raises(SolverFailure, match="implicit solve failed: Factor is exactly"):
+            step_semi_implicit(FlowState(immersion=icosphere(subdiv=1)), 1e-3)
 
     def test_radius_tracks_oracle_with_small_cfl(self, icosphere4):
         cfg = SchemeConfig(

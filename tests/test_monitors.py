@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mcflow.analytic import (
     SphereProductScene,
     SphereScene,
-    spacetime_h_integral,
     unit_ball_volume,
     unit_sphere_area,
 )
@@ -23,11 +22,10 @@ from mcflow.monitors import (
     graph_diameter,
     inequality_suite,
     lp_norm,
-    mesh_state_view,
     moser_ratio,
     pinching_andrews_baker,
     pinching_linear,
-    scene_state_view,
+    state_view,
 )
 from mcflow.flow import FlowState, MonitorParams, SchemeConfig, StopRule, run_until
 from mcflow.scenes import icosphere
@@ -94,7 +92,7 @@ class TestSpacetimeAccumulator:
         scene, trace = synthetic_sphere_trace(steps=600)
         n = 2
         got = trace.records[-1].st_integral_alpha[4.0]
-        want = spacetime_h_integral(scene, 4.0, trace.records[-1].t)
+        want = scene.spacetime_integral(4.0, trace.records[-1].t)
         assert got == pytest.approx(want, rel=1e-6)  # sphere path is closed form
 
     def test_divergence_slope_matches_constant(self):
@@ -105,10 +103,8 @@ class TestSpacetimeAccumulator:
         acc = SpacetimeAccumulator(alpha=4.0)
         prev_t = 0.0
         values, logs = [], []
-        from mcflow.analytic import sphere_state
-
         for t in times:
-            st_ = sphere_state(scene, t)
+            st_ = scene.state(t)
             acc.update(st_.h2 ** 2 * st_.vol, t - prev_t)
             prev_t = t
             values.append(acc.value)
@@ -119,46 +115,43 @@ class TestSpacetimeAccumulator:
 
 class TestPinching:
     def test_sphere_boundary_case(self):
-        view = scene_state_view(SphereScene(n=3, r0=1.0), 0.0)
+        view = state_view(SphereScene(n=3, r0=1.0), 0.0)
         rep = pinching_linear(view, a=1.0 / 3.0, b=0.0)
         assert rep.verdict == HOLDS
         assert rep.values["max_margin"] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_andrews_baker_for_n4(self):
-        view = scene_state_view(SphereProductScene(p=2, q=2), 0.0)
+        view = state_view(SphereProductScene(p=2, q=2), 0.0)
         lin = pinching_linear(view, a=1.0 / 3.0, b=0.0)
         ab = pinching_andrews_baker(view)
         assert lin.values["max_margin"] == pytest.approx(ab.values["max_margin"], rel=1e-13)
         assert lin.verdict == ab.verdict == VIOLATED  # 4 > 8/3
 
     def test_s2xs1_violates_n3_constant(self):
-        view = scene_state_view(SphereProductScene(p=2, q=1), 0.0)
+        view = state_view(SphereProductScene(p=2, q=1), 0.0)
         rep = pinching_andrews_baker(view)
         assert rep.verdict == VIOLATED  # 3 > 20/9
         assert rep.values["max_margin"] == pytest.approx(3.0 - 20.0 / 9.0, rel=1e-12)
 
     def test_spheres_satisfy_dimensional_constant(self):
         for n in (3, 4, 6):
-            view = scene_state_view(SphereScene(n=n, r0=0.7), 0.0)
+            view = state_view(SphereScene(n=n, r0=0.7), 0.0)
             assert pinching_andrews_baker(view).verdict == HOLDS
 
-    def test_mesh_surface_unsupported(self, icosphere4, icosphere4_forms):
-        _, _, forms = icosphere4_forms
-        view = mesh_state_view(icosphere4, forms)
+    def test_mesh_surface_unsupported(self, icosphere4):
+        view = state_view(icosphere4)
         with pytest.raises(UnsupportedDimension):
             pinching_andrews_baker(view)
 
-    def test_report_determinism(self, icosphere4, icosphere4_forms):
-        _, _, forms = icosphere4_forms
-        a = pinching_linear(mesh_state_view(icosphere4, forms), 1.0, 0.0)
-        b = pinching_linear(mesh_state_view(icosphere4, forms), 1.0, 0.0)
+    def test_report_determinism(self, icosphere4):
+        a = pinching_linear(state_view(icosphere4), 1.0, 0.0)
+        b = pinching_linear(state_view(icosphere4), 1.0, 0.0)
         assert a == b
 
 
 class TestInequalitySuite:
-    def test_unit_sphere_values(self, icosphere4, icosphere4_forms):
-        _, _, forms = icosphere4_forms
-        view = mesh_state_view(icosphere4, forms)
+    def test_unit_sphere_values(self, icosphere4):
+        view = state_view(icosphere4)
         reports = {r.name: r for r in inequality_suite(view)}
         chen = reports["chen_total_mean_curvature"]
         assert chen.verdict == HOLDS
@@ -172,7 +165,7 @@ class TestInequalitySuite:
         assert top.values["ratio"] > 0
 
     def test_gradient_zero_on_analytic_scenes(self):
-        view = scene_state_view(SphereProductScene(p=2, q=1), 0.0)
+        view = state_view(SphereProductScene(p=2, q=1), 0.0)
         reports = {r.name: r for r in inequality_suite(view)}
         assert reports["gradient_a_vs_aring"].verdict == HOLDS
         assert reports["gradient_a_vs_aring"].values["raw_margin"] == 0.0
@@ -180,7 +173,7 @@ class TestInequalitySuite:
 
     def test_gradient_holds_on_mesh_battery(self, icosphere4, ellipsoid3):
         for imm in (icosphere4, ellipsoid3):
-            view = mesh_state_view(imm, with_gradients=True)
+            view = state_view(imm)
             reports = {r.name: r for r in inequality_suite(view)}
             assert reports["gradient_a_vs_aring"].verdict == HOLDS
             assert reports["gradient_h_vs_aring"].verdict == HOLDS
@@ -191,31 +184,42 @@ class TestInequalitySuite:
         # |H|^n Vol = n^n |S^n| on every round sphere, so the ratio of
         # max|H|^2 to (n^n omega_n / Vol)^(2/n) is (|S^n| / omega_n)^(2/n) at all t
         scene = SphereScene(n=n, r0=0.9)
-        view = scene_state_view(scene, frac * scene.collapse_time)
+        view = state_view(scene, frac * scene.collapse_time)
         hmax = {r.name: r for r in inequality_suite(view)}["hmax_lower_bound"]
         assert hmax.verdict == HOLDS
         want = (unit_sphere_area(n) / unit_ball_volume(n)) ** (2.0 / n)
         assert hmax.values["ratio"] == pytest.approx(want, rel=1e-12)
 
     def test_hmax_bound_holds_on_s2xs1(self):
-        view = scene_state_view(SphereProductScene(p=2, q=1), 0.0)
+        view = state_view(SphereProductScene(p=2, q=1), 0.0)
         hmax = {r.name: r for r in inequality_suite(view)}["hmax_lower_bound"]
         assert hmax.verdict == HOLDS
 
-    def test_gradient_view_fits_once(self, monkeypatch):
+    def test_view_fits_once_and_derives_on_demand(self, monkeypatch):
         from mcflow import monitors
 
-        calls = []
-        fit = monitors.jet_forms
+        fits, derivs = [], []
+        fit, derive = monitors.jet_forms, monitors.derivative_data
 
         def counting_fit(*args, **kwargs):
-            calls.append(args)
+            fits.append(args)
             return fit(*args, **kwargs)
 
+        def counting_derive(*args, **kwargs):
+            derivs.append(args)
+            return derive(*args, **kwargs)
+
         monkeypatch.setattr(monitors, "jet_forms", counting_fit)
-        view = mesh_state_view(icosphere(subdiv=2), with_gradients=True)
-        assert len(calls) == 1
-        assert view.grad_a2 is not None
+        monkeypatch.setattr(monitors, "derivative_data", counting_derive)
+        view = state_view(icosphere(subdiv=2))
+        pinching_linear(view, 1.0, 0.0)
+        assert len(derivs) == 0
+        first = inequality_suite(view)
+        second = inequality_suite(view)
+        assert len(derivs) == 1
+        assert len(fits) == 1
+        assert [r.to_json_dict() for r in first] == [r.to_json_dict() for r in second]
+        assert "gradient_a_vs_aring" in {r.name for r in first}
 
     def test_diameter_of_circle_graph(self):
         from mcflow.scenes import polygon_circle
@@ -234,7 +238,7 @@ class TestMoserRatio:
         # lhs is the endpoint value; rhs from the closed-form integral
         lhs = max(r.h2_max for r in trace.records if r.t >= t_last / 2)
         assert rep.values["lhs_h2_max"] == pytest.approx(lhs, rel=1e-12)
-        want = spacetime_h_integral(scene, 4.0, t_last) ** 0.5
+        want = scene.spacetime_integral(4.0, t_last) ** 0.5
         assert rep.values["rhs_base"] == pytest.approx(want, rel=1e-9)
 
     def test_parabolic_scale_covariance(self):
@@ -316,10 +320,10 @@ class TestParabolicCovarianceOfMonitors:
         scene = SphereScene(n=3, r0=1.0)
         scaled = SphereScene(n=3, r0=lam)
         t = 0.4 * scene.collapse_time
-        a = scene_state_view(scene, t)
-        b = scene_state_view(scaled, lam ** 2 * t)
+        a = state_view(scene, t)
+        b = state_view(scaled, lam ** 2 * t)
         assert b.h2[0] == pytest.approx(a.h2[0] / lam ** 2, rel=1e-12)
         assert b.vol == pytest.approx(a.vol * lam ** 3, rel=1e-12)
-        ia = spacetime_h_integral(scene, 5.0, t)
-        ib = spacetime_h_integral(scaled, 5.0, lam ** 2 * t)
+        ia = scene.spacetime_integral(5.0, t)
+        ib = scaled.spacetime_integral(5.0, lam ** 2 * t)
         assert ib == pytest.approx(ia, rel=1e-12)  # alpha = n+2 is the invariant power

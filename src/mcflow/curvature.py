@@ -31,6 +31,10 @@ CONDITION_LIMIT = 1e12
 
 DEFAULT_RING = 2
 
+#: (vertex, neighbor) pairs transported per block in derivative_data; blocks
+#: bound the transient memory and leave every pair's arithmetic unchanged
+_PAIR_BLOCK = 4096
+
 
 @dataclass
 class FrameField:
@@ -224,33 +228,40 @@ def tracefree_decompose(forms: FundamentalForms) -> FundamentalForms:
     )
 
 
-def _minimal_rotation_transport(tan_v, nor_v, tan_j, nor_j):
-    """Tangent/normal transition matrices of the smallest rotation taking the
-    neighbor tangent plane onto the center tangent plane.
+def _outer(a, b):
+    """Stacked outer products: (P, D) x (P, D) -> (P, D, D)."""
+    return a[:, :, None] * b[:, None, :]
 
-    Returns (tau, nu): tau[l, i] = <R t_i^(j), t_l^(v)>, nu[b, a] likewise for
-    the normal frames.
+
+def _minimal_rotation_transport(tan_v, nor_v, tan_j, nor_j):
+    """Tangent/normal transition matrices of the smallest rotation taking each
+    neighbor tangent plane onto its center tangent plane, stacked over pairs.
+
+    Frames carry a leading pair axis: tan_* (P, n, D), nor_* (P, d, D).
+    Returns (tau, nu): tau[p, l, i] = <R t_i^(j), t_l^(v)>, nu[p, b, a]
+    likewise for the normal frames.  A principal angle whose cosine is within
+    1e-14 of one is left unrotated.
     """
-    n, dim = tan_v.shape
-    m = tan_v @ tan_j.T  # (n, n)
-    uu, sig, vt = np.linalg.svd(m)
+    npair, n, dim = tan_v.shape
+    tan_jt = np.swapaxes(tan_j, 1, 2)
+    uu, sig, vt = np.linalg.svd(tan_v @ tan_jt)
     cos = np.clip(sig, -1.0, 1.0)
-    p = uu.T @ tan_v  # principal vectors in the center plane, rows (n, D)
+    p = np.swapaxes(uu, 1, 2) @ tan_v  # principal vectors in the center plane
     q = vt @ tan_j  # matching principal vectors in the neighbor plane
-    rot = np.eye(dim)
+    rot = np.broadcast_to(np.eye(dim), (npair, dim, dim))
     for i in range(n):
-        c = cos[i]
-        if c > 1.0 - 1e-14:
-            continue
-        s = np.sqrt(max(1.0 - c * c, 0.0))
-        axis = (p[i] - c * q[i]) / s
-        qi = q[i]
-        rot = rot + (
-            s * (np.outer(axis, qi) - np.outer(qi, axis))
-            + (c - 1.0) * (np.outer(qi, qi) + np.outer(axis, axis))
+        c = cos[:, i, None]
+        turn = c[:, 0] <= 1.0 - 1e-14
+        s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
+        axis = (p[:, i] - c * q[:, i]) / np.where(turn[:, None], s, 1.0)
+        qi = q[:, i]
+        step = rot + (
+            s[:, :, None] * (_outer(axis, qi) - _outer(qi, axis))
+            + (c - 1.0)[:, :, None] * (_outer(qi, qi) + _outer(axis, axis))
         )
-    tau = tan_v @ rot @ tan_j.T
-    nu = nor_v @ rot @ nor_j.T
+        rot = np.where(turn[:, None, None], step, rot)
+    tau = tan_v @ rot @ tan_jt
+    nu = nor_v @ rot @ np.swapaxes(nor_j, 1, 2)
     return tau, nu
 
 
@@ -264,7 +275,8 @@ def derivative_data(
 
     Neighbor components are parallel-transported to the center frame before
     fitting an affine model in the tangent coordinates; the slopes are the
-    h^alpha_ijk.
+    h^alpha_ijk.  The transport runs over all (vertex, neighbor) pairs at once,
+    in blocks of ``_PAIR_BLOCK`` pairs to bound the transient memory.
     """
     n = imm.intrinsic_dim
     d = imm.codim
@@ -274,26 +286,22 @@ def derivative_data(
     width = idx.shape[1]
 
     # transported components, flattened over (alpha, i<=j)
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    ncomp = d * len(pairs)
+    rows, cols = np.triu_indices(n)
+    ncomp = d * len(rows)
     rhs = np.zeros((nv, width, ncomp))
-    for v in range(nv):
-        tan_v = frames.tangent[v]
-        nor_v = frames.normal[v]
-        for m_i in range(width):
-            if not mask[v, m_i]:
-                continue
-            j = idx[v, m_i]
-            if j == v:
-                hj = forms.h[v]
-            else:
-                tau, nu = _minimal_rotation_transport(
-                    tan_v, nor_v, frames.tangent[j], frames.normal[j]
-                )
-                hj = np.einsum("ba,li,mk,aik->blm", nu, tau, tau, forms.h[j])
-            rhs[v, m_i] = np.array(
-                [hj[a, i, jj] for a in range(d) for (i, jj) in pairs]
-            )
+    own = idx == np.arange(nv)[:, None]
+    rv, rm = np.nonzero(mask & own)
+    rhs[rv, rm] = forms.h[rv][:, :, rows, cols].reshape(-1, ncomp)
+    pv, pm = np.nonzero(mask & ~own)
+    for start in range(0, len(pv), _PAIR_BLOCK):
+        v = pv[start : start + _PAIR_BLOCK]
+        m_i = pm[start : start + _PAIR_BLOCK]
+        j = idx[v, m_i]
+        tau, nu = _minimal_rotation_transport(
+            frames.tangent[v], frames.normal[v], frames.tangent[j], frames.normal[j]
+        )
+        hj = np.einsum("pba,pli,pmk,paik->pblm", nu, tau, tau, forms.h[j])
+        rhs[v, m_i] = hj[:, :, rows, cols].reshape(-1, ncomp)
 
     # affine model in normalized coordinates; slope recovers the derivative
     design = np.concatenate([np.ones((nv, width, 1)), u], axis=2)
@@ -302,12 +310,9 @@ def derivative_data(
     slopes = coeffs[:, 1:, :] / (sigma ** 2)[:, None, None]
 
     h_k = np.zeros((nv, d, n, n, n))
-    for col, (a, (i, jj)) in enumerate(
-        (a, pair) for a in range(d) for pair in pairs
-    ):
-        for k in range(n):
-            h_k[:, a, i, jj, k] = slopes[:, k, col]
-            h_k[:, a, jj, i, k] = slopes[:, k, col]
+    by_component = np.moveaxis(slopes.reshape(nv, n, d, len(rows)), 1, -1)
+    h_k[:, :, rows, cols] = by_component
+    h_k[:, :, cols, rows] = by_component
 
     grad_a2 = np.einsum("vaijk,vaijk->v", h_k, h_k)
     hk_trace = np.einsum("vaiik->vak", h_k)

@@ -62,7 +62,7 @@ class UnknownQuantity(McflowError):
 
 
 class ParseError(McflowError):
-    """Configuration file is not valid JSON."""
+    """A configuration or mesh file does not parse (not JSON, not a numeric table)."""
 
     def __init__(self, message, line=None, column=None):
         super().__init__(message)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateElement, InvalidImmersion, UnsupportedDimension
+from .errors import DegenerateElement, InvalidImmersion, ParseError, UnsupportedDimension
 
 #: elements smaller than this fraction of the mean element measure count as
 #: collapsed (genuine singularity, not floating-point noise)
@@ -306,15 +306,19 @@ def write_snapshot(imm: DiscreteImmersion, path, scalars: dict | None = None) ->
 
 
 def read_snapshot(path):
-    """Load a CSV snapshot; returns (immersion, scalar columns dict)."""
+    """Load a CSV snapshot; returns (immersion, scalar columns dict).
+
+    Text that does not parse raises ``ParseError`` naming the file, and the
+    line where one is known: a short or long row, a non-numeric cell, a file
+    without data rows, a non-integer sidecar index or a sidecar row of the
+    wrong arity.  Geometry faults raise what ``DiscreteImmersion`` raises.
+    """
     path = str(path)
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        data = np.array(
-            [[float(tok) for tok in line.strip().split(",")] for line in fh if line.strip()]
-        )
+    header, data = _read_table(path, ",", float, header=True)
+    if len(header) < 5:
+        raise ParseError(f"{path}:1: header needs coordinates plus H2,A2,Aring2,weight", line=1)
     dim = len(header) - 4
-    elements = np.loadtxt(_sidecar_path(path), dtype=np.int64, ndmin=2)
+    _, elements = _read_table(_sidecar_path(path), None, int)
     scalars = {
         "H2": data[:, dim],
         "A2": data[:, dim + 1],
@@ -325,6 +329,42 @@ def read_snapshot(path):
         vertices=data[:, :dim], elements=elements, intrinsic_dim=elements.shape[1] - 1
     )
     return imm, scalars
+
+
+def _read_table(path: str, sep, convert, header: bool = False):
+    """(header tokens or None, array of ``convert``ed cells) of a text table.
+
+    Blank lines are skipped; every row must be as wide as the header, or as
+    the first row when there is none.
+    """
+    names, width, rows = None, None, []
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                tokens = line.strip().split(sep)
+                if header and names is None:
+                    names, width = tokens, len(tokens)
+                    continue
+                if not line.strip():
+                    continue
+                width = width or len(tokens)
+                if len(tokens) != width:
+                    raise ParseError(
+                        f"{path}:{lineno}: expected {width} values, got {len(tokens)}",
+                        line=lineno,
+                    )
+                try:
+                    rows.append([convert(tok) for tok in tokens])
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}", line=lineno) from None
+        table = np.array(rows, dtype=convert)
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not a text file") from None
+    except OverflowError:
+        raise ParseError(f"{path}: value out of range") from None
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    return names, table
 
 
 def _sidecar_path(path: str) -> str:

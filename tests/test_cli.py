@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -130,6 +131,48 @@ def test_config_mistake_exits_4_before_the_run_directory(tmp_path, capsys, raw):
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 4
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _replace_line(k, edit):
+    """An edit of a file's lines that replaces line ``k`` by ``edit(line)``."""
+    return lambda lines: lines[:k] + [edit(lines[k])] + lines[k + 1 :]
+
+
+MALFORMED_MESH_FILES = {
+    # (edit of the CSV lines, edit of the sidecar lines, where the error points)
+    "row_cut_short": (_replace_line(3, lambda row: row.rsplit(",", 1)[0]), None, "mesh.csv:4"),
+    "non_numeric_cell": (
+        _replace_line(3, lambda row: "abc" + row[row.index(",") :]), None, "mesh.csv:4"
+    ),
+    "header_only": (lambda lines: lines[:1], None, "mesh.csv"),
+    "fractional_index": (
+        None, _replace_line(2, lambda row: "2.5 " + row.split(" ", 1)[1]), "mesh.elements.txt:3"
+    ),
+    "two_indices_in_a_triangle": (
+        None, _replace_line(2, lambda row: row.rsplit(" ", 1)[0]), "mesh.elements.txt:3"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "edit_csv,edit_sidecar,where", MALFORMED_MESH_FILES.values(), ids=MALFORMED_MESH_FILES.keys()
+)
+def test_malformed_mesh_file_exits_4_before_the_run_directory(
+    tmp_path, capsys, edit_csv, edit_sidecar, where
+):
+    mesh = tmp_path / "mesh.csv"
+    write_snapshot(icosphere(subdiv=1), mesh)
+    for path, edit in ((mesh, edit_csv), (tmp_path / "mesh.elements.txt", edit_sidecar)):
+        if edit is not None:
+            path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_small_run({"kind": "mesh_file", "path": str(mesh)})))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"{tmp_path / where}" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -385,6 +428,18 @@ def test_bad_rescale_and_plot_arguments_exit_cleanly(r5_trace_dir, capsys, argv,
     assert cli.main([argv[0], "--trace", str(r5_trace_dir), *argv[1:]]) == code
     err = capsys.readouterr().err
     assert err.startswith("config error" if code == 4 else "numerical failure")
+
+
+def test_rescale_of_a_truncated_snapshot_exits_4(r5_trace_dir, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(r5_trace_dir, run)
+    snap = sorted((run / "snapshots").glob("*.csv"))[-1]
+    snap.write_text(snap.read_text().rstrip().rsplit(",", 1)[0])  # cut inside the last row
+    assert cli.main(["rescale", "--trace", str(run)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and snap.name in err
+    assert "Traceback" not in err
+    assert not (run / "rescaled").exists()
 
 
 class TestCliEntry:

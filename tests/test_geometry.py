@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import random_rotation
 from mcflow.curvature import (
+    DEFAULT_RING,
+    _local_coordinates,
+    _minimal_rotation_transport,
+    _weighted_lstsq,
     build_frames,
     codazzi_residual,
     derivative_data,
@@ -409,6 +414,131 @@ class TestCovariantDerivative:
         assert np.allclose(
             deriv.grad_aring2, deriv.grad_a2 - deriv.grad_h2 / 2, rtol=1e-10, atol=1e-12
         )
+
+
+def _per_pair_transport(tan_v, nor_v, tan_j, nor_j):
+    """Reference minimal-rotation transport of one (vertex, neighbor) pair."""
+    n, dim = tan_v.shape
+    uu, sig, vt = np.linalg.svd(tan_v @ tan_j.T)
+    cos = np.clip(sig, -1.0, 1.0)
+    p = uu.T @ tan_v
+    q = vt @ tan_j
+    rot = np.eye(dim)
+    for i in range(n):
+        c = cos[i]
+        if c > 1.0 - 1e-14:
+            continue
+        s = np.sqrt(max(1.0 - c * c, 0.0))
+        axis = (p[i] - c * q[i]) / s
+        qi = q[i]
+        rot = rot + (
+            s * (np.outer(axis, qi) - np.outer(qi, axis))
+            + (c - 1.0) * (np.outer(qi, qi) + np.outer(axis, axis))
+        )
+    return tan_v @ rot @ tan_j.T, nor_v @ rot @ nor_j.T
+
+
+def _per_pair_derivative_data(imm, frames, forms, ring=2):
+    """Reference derivative fit that transports one (vertex, neighbor) pair at a time."""
+    n, d, nv = imm.intrinsic_dim, imm.codim, imm.num_vertices
+    idx, mask = imm.topology.ring_neighborhoods(ring)
+    u, _, theta, sigma = _local_coordinates(imm, frames, idx, mask)
+    width = idx.shape[1]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    rhs = np.zeros((nv, width, d * len(pairs)))
+    for v in range(nv):
+        for m_i in range(width):
+            if not mask[v, m_i]:
+                continue
+            j = idx[v, m_i]
+            if j == v:
+                hj = forms.h[v]
+            else:
+                tau, nu = _per_pair_transport(
+                    frames.tangent[v], frames.normal[v], frames.tangent[j], frames.normal[j]
+                )
+                hj = np.einsum("ba,li,mk,aik->blm", nu, tau, tau, forms.h[j])
+            rhs[v, m_i] = np.array([hj[a, i, jj] for a in range(d) for (i, jj) in pairs])
+    design = np.concatenate([np.ones((nv, width, 1)), u], axis=2)
+    coeffs = _weighted_lstsq(design, rhs * sigma[:, None, None], theta, "derivative fit")
+    slopes = coeffs[:, 1:, :] / (sigma ** 2)[:, None, None]
+    h_k = np.zeros((nv, d, n, n, n))
+    for col, (a, (i, jj)) in enumerate((a, pair) for a in range(d) for pair in pairs):
+        for k in range(n):
+            h_k[:, a, i, jj, k] = h_k[:, a, jj, i, k] = slopes[:, k, col]
+    hk_trace = np.einsum("vaiik->vak", h_k)
+    aring_k = h_k - hk_trace[:, :, None, None, :] * (np.eye(n) / n)[None, None, :, :, None]
+    return (
+        h_k,
+        np.einsum("vaijk,vaijk->v", h_k, h_k),
+        np.einsum("vak,vak->v", hk_trace, hk_trace),
+        np.einsum("vaijk,vaijk->v", aring_k, aring_k),
+    )
+
+
+def _seeded_plane(dim, k, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, k)))
+    return q
+
+
+def _jittered_polygon(segments, ambient_dim, seed):
+    rng = np.random.default_rng(seed)
+    step = 2.0 * np.pi / segments
+    angles = step * (np.arange(segments) + rng.uniform(-0.2, 0.2, segments))
+    return polygon_circle(
+        angles=angles, ambient_dim=ambient_dim, subspace=_seeded_plane(ambient_dim, 2, seed)
+    )
+
+
+class TestBatchedTransport:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: icosphere(subdiv=2, ambient_dim=5, subspace=_seeded_plane(5, 3, 7)),
+            lambda: clifford_torus(resolution=16),
+            lambda: ellipsoid([1.2, 1.0, 0.9], subdiv=2),
+            lambda: _jittered_polygon(64, 4, 3),
+        ],
+        ids=["icosphere2_r5", "clifford16", "ellipsoid2", "polygon64_r4"],
+    )
+    def test_matches_the_per_pair_loop_bit_for_bit(self, build):
+        imm = build()
+        frames, forms = jet_forms(imm)
+        deriv = derivative_data(imm, frames, forms)
+        expected = _per_pair_derivative_data(imm, frames, forms)
+        got = (deriv.h_k, deriv.grad_a2, deriv.grad_h2, deriv.grad_aring2)
+        for name, a, b in zip(("h_k", "grad_a2", "grad_h2", "grad_aring2"), got, expected):
+            assert np.array_equal(a, b), name
+
+    def test_stacked_transport_matches_each_pair(self):
+        rng = np.random.default_rng(11)
+        frames = [np.linalg.qr(rng.standard_normal((5, 5)))[0].T for _ in range(6)]
+        pairs = []
+        for k, f in enumerate(frames):
+            turn = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+            # same tangent plane (in-plane turn, or the very same frame), then a tilted one
+            for g in (np.vstack([turn @ f[:2], f[2:]]), f, frames[(k + 1) % 6]):
+                pairs.append((f[:2], f[2:], g[:2], g[2:]))
+        tan_v, nor_v, tan_j, nor_j = (np.array(x) for x in zip(*pairs))
+        tau, nu = _minimal_rotation_transport(tan_v, nor_v, tan_j, nor_j)
+        for p in range(len(tan_v)):
+            ref_tau, ref_nu = _per_pair_transport(tan_v[p], nor_v[p], tan_j[p], nor_j[p])
+            assert np.array_equal(tau[p], ref_tau) and np.array_equal(nu[p], ref_nu)
+            if p % 3 < 2:  # no principal angle to turn: the identity rotation
+                assert np.array_equal(tau[p], tan_v[p] @ tan_j[p].T)
+            else:
+                assert not np.allclose(tau[p], tan_v[p] @ tan_j[p].T)
+
+    def test_transient_memory_is_bounded(self, clifford64, clifford64_forms):
+        _, frames, forms = clifford64_forms
+        clifford64.topology.ring_neighborhoods(DEFAULT_RING)
+        tracemalloc.start()
+        try:
+            derivative_data(clifford64, frames, forms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 class TestEquivariance:

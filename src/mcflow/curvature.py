@@ -29,6 +29,10 @@ from .mesh import DiscreteImmersion, angle_defects, measure_weights
 #: conditioning threshold on the normal equations of the local fits
 CONDITION_LIMIT = 1e12
 
+#: the Cholesky screen of the fits clears a Gram only when its bounded
+#: condition number is this fraction of CONDITION_LIMIT or less
+_SCREEN_MARGIN = 0.5
+
 DEFAULT_RING = 2
 
 #: (vertex, neighbor) pairs transported per block in derivative_data; blocks
@@ -97,7 +101,7 @@ def build_frames(imm: DiscreteImmersion, ring: int = DEFAULT_RING) -> FrameField
     w = mask[:, :, None].astype(float)
     mean = (pts * w).sum(axis=1) / counts[:, None]
     centered = (pts - mean[:, None, :]) * w
-    cov = np.einsum("vmi,vmj->vij", centered, centered) / counts[:, None, None]
+    cov = np.swapaxes(centered, 1, 2) @ centered / counts[:, None, None]
 
     eigvals, eigvecs = np.linalg.eigh(cov)  # ascending
     top = eigvals[:, -1]
@@ -139,10 +143,40 @@ def _local_coordinates(imm, frames, idx, mask):
     others[:, 0] = False  # exclude the center itself from the scale
     sigma = (dist * others).sum(axis=1) / np.maximum(others.sum(axis=1), 1)
     sigma = np.maximum(sigma, 1e-300)
-    u = np.einsum("vnd,vmd->vmn", frames.tangent, delta) / sigma[:, None, None]
-    wcoord = np.einsum("vkd,vmd->vmk", frames.normal, delta) / sigma[:, None, None]
+    u = delta @ np.swapaxes(frames.tangent, 1, 2) / sigma[:, None, None]
+    wcoord = delta @ np.swapaxes(frames.normal, 1, 2) / sigma[:, None, None]
     theta = np.exp(-((dist / sigma[:, None]) ** 2)) * mask
     return u, wcoord, theta, sigma
+
+
+def _ill_conditioned(gram: np.ndarray) -> np.ndarray:
+    """Flags of the symmetric Grams (V, K, K) that are not positive definite or
+    whose condition number exceeds CONDITION_LIMIT, as ``eigvalsh`` decides.
+
+    A batched Cholesky gives det G, and the Hong-Pan bound
+    lambda_min >= det G * ((K-1) / |G|_F^2)^((K-1)/2), with lambda_max <= |G|_F,
+    clears every Gram whose bounded condition number stays under
+    ``_SCREEN_MARGIN * CONDITION_LIMIT``; the margin covers the rounding of the
+    determinant and of ``eigvalsh`` itself.  Only the Grams the bound cannot
+    clear (all of them if a factorization fails) go to ``eigvalsh``.
+    """
+    k = gram.shape[-1]
+    unclear = np.ones(len(gram), dtype=bool)
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        log_fro = 0.5 * np.log(np.einsum("vkl,vkl->v", gram, gram))
+        log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        log_lo = log_det + 0.5 * (k - 1) * (np.log(k - 1) - 2.0 * log_fro)
+        unclear = ~(log_fro - log_lo <= np.log(_SCREEN_MARGIN * CONDITION_LIMIT))
+    bad = np.zeros(len(gram), dtype=bool)
+    if unclear.any():
+        eig = np.linalg.eigvalsh(gram[unclear])
+        lo, hi = eig[:, 0], eig[:, -1]
+        bad[unclear] = (lo <= 0) | (hi > CONDITION_LIMIT * np.maximum(lo, 1e-300))
+    return bad
 
 
 def _weighted_lstsq(design, rhs, theta, what):
@@ -157,18 +191,15 @@ def _weighted_lstsq(design, rhs, theta, what):
             f"{what}: vertex {int(np.argmin(counts))} has {int(counts.min())} "
             f"samples for {k} coefficients"
         )
-    wd = design * theta[:, :, None]
-    gram = np.einsum("vmk,vml->vkl", wd, design)
-    eig = np.linalg.eigvalsh(gram)
-    lo, hi = eig[:, 0], eig[:, -1]
-    bad = (lo <= 0) | (hi > CONDITION_LIMIT * np.maximum(lo, 1e-300))
+    wd_t = np.swapaxes(design * theta[:, :, None], 1, 2)
+    gram = wd_t @ design
+    bad = _ill_conditioned(gram)
     if bad.any():
         raise FitIllConditioned(
             f"{what}: normal equations condition number exceeds {CONDITION_LIMIT:g} "
             f"at vertex {int(np.argmax(bad))}"
         )
-    moment = np.einsum("vmk,vmr->vkr", wd, rhs)
-    return np.linalg.solve(gram, moment)
+    return np.linalg.solve(gram, wd_t @ rhs)
 
 
 def second_fundamental_form(

@@ -181,7 +181,10 @@ def _final_reports(config: RunConfig, trace: FlowTrace):
             state = rsc.parabolic_rescale(
                 last.immersion, last.t, center_info["center"], blowup["T_hat_stabilized"]
             )
-            summary["roundness"] = rsc.roundness_metrics(state.immersion)
+            # the pinch ratio is invariant under the rescaling, so the last
+            # snapshot, when it is the final state, reuses the final fit
+            forms = view.forms if last.immersion is view.body else None
+            summary["roundness"] = rsc.roundness_metrics(state.immersion, forms)
             summary["subspace"] = rsc.subspace_dimension(state.immersion.vertices)
 
     summary["verdicts"] = {r.name: r.verdict for r in reports}

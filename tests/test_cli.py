@@ -222,6 +222,23 @@ class TestBuildOnce:
         # one fit per trace record; the final reports reuse the last one
         assert len(fits) == steps + 1
 
+    def test_run_with_snapshots_fits_once_per_record(self, tmp_path, monkeypatch):
+        real_build = curvature.build_frames
+        fits = []
+
+        def counting_build(*args, **kwargs):
+            fits.append(args[0].num_vertices)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(curvature, "build_frames", counting_build)
+        steps = 3
+        cfg = config_from_dict(minimal_config(stop={"step_cap": steps}, snapshot_every=1))
+        assert runner.run(cfg, tmp_path / "out") == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        # the rescaled final snapshot takes its roundness from the final fit
+        assert summary["roundness"]["pinch_ratio"] >= 0.0
+        assert len(fits) == steps + 1
+
 
 class TestRun:
     def test_mesh_run_artifacts(self, tmp_path):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from conftest import random_rotation
 from mcflow.analytic import SphereProductScene, SphereScene
@@ -24,6 +26,7 @@ from mcflow.flow import (
     StopRule,
     TraceRecord,
     estimator_discrepancy,
+    laplace_beltrami,
     laplace_mean_curvature,
     redistribute,
     run_until,
@@ -31,7 +34,7 @@ from mcflow.flow import (
     step_semi_implicit,
 )
 from mcflow.mesh import DiscreteImmersion, element_measures, measure_weights
-from mcflow.scenes import embed_immersion, icosphere, polygon_circle
+from mcflow.scenes import embed_immersion, icosphere, perturb_radially, polygon_circle
 
 ICO4_EDGE_SQ = (1.0514622 / 16.0) ** 2  # squared edge length of the subdiv-4 icosphere
 
@@ -139,6 +142,12 @@ class TestSemiImplicitStep:
 
         monkeypatch.setattr(flow, "splu", singular_factor)
         with pytest.raises(SolverFailure, match="implicit solve failed: Factor is exactly"):
+            step_semi_implicit(FlowState(immersion=polygon_circle(segments=16)), 1e-3)
+
+    def test_unconverged_solve_is_a_solver_failure(self, monkeypatch):
+        # a sphere has a nonzero warm-start residual, so no iteration is a failure
+        monkeypatch.setattr(flow, "_PCG_MAX_ITER", 0)
+        with pytest.raises(SolverFailure, match="implicit solve failed: PCG did not converge"):
             step_semi_implicit(FlowState(immersion=icosphere(subdiv=1)), 1e-3)
 
     def test_radius_tracks_oracle_with_small_cfl(self, icosphere4):
@@ -150,6 +159,61 @@ class TestSemiImplicitStep:
         r2_exact = 1.0 - 4.0 * rec.t
         r2_mesh = rec.vol / (4 * math.pi)
         assert abs(r2_mesh - r2_exact) <= 5e-3
+
+
+def _splu_step(imm, dt):
+    """Reference backward-Euler vertices: one sparse LU, one solve per coordinate."""
+    mass, stiffness = laplace_beltrami(imm)
+    solver = splu((sparse.diags(mass) + dt * stiffness).tocsc())
+    return np.column_stack(
+        [solver.solve(mass * imm.vertices[:, c]) for c in range(imm.ambient_dim)]
+    )
+
+
+def _criterion8_scene(subdiv):
+    return embed_immersion(perturb_radially(icosphere(subdiv=subdiv), [(2, 0, 0.05)]), 5)
+
+
+@pytest.fixture(scope="module")
+def collapse_trace():
+    """The criterion-8 scene at subdivision 3, flowed to max|A|^2 = 2000."""
+    cfg = SchemeConfig(cfl=0.02, stop=StopRule(max_a2=2000.0))
+    return run_until(FlowState(immersion=_criterion8_scene(3)), cfg)
+
+
+class TestIterativeSolve:
+    @pytest.mark.parametrize("case", ["icosphere4_r5", "criterion8", "criterion8_collapse"])
+    def test_matches_a_direct_solve(self, case, request):
+        if case == "icosphere4_r5":
+            imm = embed_immersion(icosphere(subdiv=4), 5)
+        elif case == "criterion8":
+            imm = _criterion8_scene(4)
+        else:
+            imm = request.getfixturevalue("collapse_trace").final_state.immersion
+        _, forms = jet_forms(imm)
+        dt = 0.02 / forms.a2.max()
+        got = step_semi_implicit(FlowState(immersion=imm), dt).immersion.vertices
+        assert np.abs(got - _splu_step(imm, dt)).max() <= 1e-12
+
+    def test_curve_step_is_the_direct_solve_bit_for_bit(self):
+        imm = polygon_circle(segments=256, ambient_dim=4, subspace=random_rotation(4, 5)[:, :2])
+        got = step_semi_implicit(FlowState(immersion=imm), 2e-3).immersion.vertices
+        assert np.array_equal(got, _splu_step(imm, 2e-3))
+
+    def test_volume_never_increases_to_collapse(self, collapse_trace):
+        trace = collapse_trace
+        assert trace.stop_reason == "max_a2"
+        vols = [r.vol for r in trace.records]
+        assert all(b <= a for a, b in zip(vols, vols[1:]))
+
+    def test_zero_coordinates_stay_zero_through_a_run(self):
+        imm = embed_immersion(icosphere(subdiv=2), 5)
+        cfg = SchemeConfig(cfl=0.02, stop=StopRule(max_a2=300.0))
+        trace = run_until(FlowState(immersion=imm), cfg, snapshot_every=1)
+        assert trace.stop_reason == "max_a2"
+        assert len(trace.snapshots) == len(trace.records)
+        for snap in trace.snapshots:
+            assert np.all(snap.immersion.vertices[:, 3:] == 0.0)
 
 
 class TestRunUntil:

@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import random_rotation
 from mcflow.curvature import (
+    CONDITION_LIMIT,
     DEFAULT_RING,
+    _fix_signs,
+    _ill_conditioned,
     _local_coordinates,
     _minimal_rotation_transport,
+    _quadratic_basis,
     _weighted_lstsq,
     build_frames,
     codazzi_residual,
@@ -23,6 +27,7 @@ from mcflow.curvature import (
 from mcflow.curvature import FundamentalForms
 from mcflow.errors import (
     DegenerateElement,
+    FitIllConditioned,
     FitUnderdetermined,
     InvalidImmersion,
     NeighborhoodRankDeficient,
@@ -539,6 +544,163 @@ class TestBatchedTransport:
         finally:
             tracemalloc.stop()
         assert peak <= 32e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def _einsum_jet_forms(imm, ring=DEFAULT_RING):
+    """Reference jet fit with stacked einsum contractions and an all-vertex
+    eigvalsh conditioning check."""
+    n, dim = imm.intrinsic_dim, imm.ambient_dim
+    idx, mask = imm.topology.ring_neighborhoods(ring)
+    counts = mask.sum(axis=1)
+    pts = imm.vertices[idx]
+    w = mask[:, :, None].astype(float)
+    mean = (pts * w).sum(axis=1) / counts[:, None]
+    centered = (pts - mean[:, None, :]) * w
+    cov = np.einsum("vmi,vmj->vij", centered, centered) / counts[:, None, None]
+    eigvecs = np.linalg.eigh(cov)[1]
+    tangent = _fix_signs(np.swapaxes(eigvecs[:, :, dim - n :], 1, 2)[:, ::-1, :])
+    normal = _fix_signs(np.swapaxes(eigvecs[:, :, : dim - n], 1, 2)[:, ::-1, :])
+
+    delta = imm.vertices[idx] - imm.vertices[:, None, :]
+    dist = np.linalg.norm(delta, axis=2)
+    others = mask.copy()
+    others[:, 0] = False
+    sigma = (dist * others).sum(axis=1) / np.maximum(others.sum(axis=1), 1)
+    sigma = np.maximum(sigma, 1e-300)
+    u = np.einsum("vnd,vmd->vmn", tangent, delta) / sigma[:, None, None]
+    wcoord = np.einsum("vkd,vmd->vmk", normal, delta) / sigma[:, None, None]
+    theta = np.exp(-((dist / sigma[:, None]) ** 2)) * mask
+
+    design = _quadratic_basis(u, n)
+    wd = design * theta[:, :, None]
+    gram = np.einsum("vmk,vml->vkl", wd, design)
+    assert not _eigvalsh_flags(gram).any()
+    coeffs = np.linalg.solve(gram, np.einsum("vmk,vmr->vkr", wd, wcoord))
+
+    h = np.zeros((imm.num_vertices, imm.codim, n, n))
+    pos = 1 + n
+    for a in range(n):
+        h[:, :, a, a] = coeffs[:, pos, :]
+        pos += 1
+    for a in range(n):
+        for b in range(a + 1, n):
+            h[:, :, a, b] = h[:, :, b, a] = coeffs[:, pos, :]
+            pos += 1
+    h /= sigma[:, None, None, None]
+    trace = np.einsum("vkaa->vk", h)
+    forms = FundamentalForms(
+        h=h,
+        mean_curvature=np.einsum("vk,vkd->vd", trace, normal),
+        aring=None,
+        a2=None,
+        h2=None,
+        aring2=None,
+    )
+    return tracefree_decompose(forms)
+
+
+def _eigvalsh_flags(gram):
+    """Reference conditioning verdict: eigvalsh of every Gram."""
+    eig = np.linalg.eigvalsh(gram)
+    lo, hi = eig[:, 0], eig[:, -1]
+    return (lo <= 0) | (hi > CONDITION_LIMIT * np.maximum(lo, 1e-300))
+
+
+def _verdict(check, gram):
+    try:
+        return check(gram).tolist()
+    except np.linalg.LinAlgError as exc:
+        return f"LinAlgError: {exc}"
+
+
+class TestBatchedJetFit:
+    # aring2 = a2 - h2 / n cancels O(a2) terms, so its rounding is measured
+    # against the size of a2; every other field against its own size
+    SCALE = {"h": "h", "mean_curvature": "mean_curvature", "a2": "a2", "h2": "h2", "aring2": "a2"}
+
+    # the frame components h are compared, so the bodies lie in coordinate
+    # subspaces: in a generic plane the normals off it span a degenerate
+    # eigenspace whose basis, and the 1e-13 noise of h along it, follow rounding
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: icosphere(subdiv=4, ambient_dim=5),
+            lambda: ellipsoid([1.2, 1.0, 0.9], subdiv=3),
+            lambda: polygon_circle(
+                angles=2.0 * np.pi * (np.arange(256) + np.linspace(-0.3, 0.3, 256)) / 256,
+                ambient_dim=4,
+            ),
+        ],
+        ids=["icosphere4_r5", "ellipsoid3", "polygon256_r4"],
+    )
+    def test_matches_the_einsum_fit(self, build):
+        imm = build()
+        _, got = jet_forms(imm)
+        expected = _einsum_jet_forms(imm)
+        for name, scale in self.SCALE.items():
+            gap = np.abs(getattr(got, name) - getattr(expected, name)).max()
+            assert gap <= 1e-12 * np.abs(getattr(expected, scale)).max(), name
+
+
+class TestConditioningScreen:
+    @staticmethod
+    def grams(k, seed):
+        """Well-conditioned Grams, then Grams at condition number 1e12 * (1 -+ 1e-6),
+        rotated and diagonal (the diagonal ones exactly below, then above)."""
+        rng = np.random.default_rng(seed)
+
+        def with_spectrum(eigs):
+            q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+            return (q * eigs) @ q.T
+
+        stack = [with_spectrum(rng.uniform(0.05, 40.0, k)) for _ in range(24)]
+        for factor in (1 - 1e-6, 1 + 1e-6):
+            eigs = np.geomspace(1.0, CONDITION_LIMIT * factor, k)
+            stack.append(with_spectrum(eigs))
+            stack.append(np.diag(eigs[::-1]))
+        return np.array(stack)
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_flags_exactly_the_eigvalsh_set(self, k):
+        base = self.grams(k, seed=k)
+        flags = _ill_conditioned(base)
+        assert flags.tolist() == _eigvalsh_flags(base).tolist()
+        assert not flags[:24].any()
+        assert not flags[-3] and flags[-1]  # the diagonal pair straddles the limit
+
+        singular = np.diag(np.r_[np.zeros(1), np.ones(k - 1)])
+        indefinite = np.diag(np.r_[-np.ones(1), np.ones(k - 1)])
+        nan_all = np.full((k, k), np.nan)
+        nan_upper = np.eye(k)
+        nan_upper[0, -1] = np.nan  # eigvalsh reads the lower triangle only
+        for extra in (singular, indefinite, singular[::-1, ::-1], nan_upper, nan_all):
+            stack = np.concatenate([base, extra[None]])
+            assert _verdict(_ill_conditioned, stack) == _verdict(_eigvalsh_flags, stack)
+
+    def test_cleared_grams_skip_eigvalsh(self, monkeypatch):
+        real = np.linalg.eigvalsh
+        seen = []
+
+        def counting(gram):
+            seen.append(len(gram))
+            return real(gram)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        stack = self.grams(6, seed=1)
+        _ill_conditioned(stack)
+        assert seen == [4]  # only the four at the limit
+
+    def test_ill_conditioned_fit_names_the_first_bad_vertex(self):
+        rng = np.random.default_rng(3)
+        design = rng.standard_normal((6, 12, 3))
+        design[4, :, 2] = design[4, :, 1]  # two equal columns: a singular Gram
+        design[5, :, 2] = design[5, :, 1]
+        theta = np.ones((6, 12))
+        with pytest.raises(FitIllConditioned) as info:
+            _weighted_lstsq(design, rng.standard_normal((6, 12, 2)), theta, "jet fit")
+        assert str(info.value) == (
+            "jet fit: normal equations condition number exceeds 1e+12 at vertex 4"
+        )
 
 
 class TestEquivariance:

@@ -33,7 +33,7 @@ from .flow import (
     step_explicit,
     step_semi_implicit,
 )
-from .mesh import DiscreteImmersion, MeshTopology, measure_weights
+from .mesh import DiscreteImmersion, MeshTopology
 from .monitors import (
     MonitorReport,
     SpacetimeAccumulator,

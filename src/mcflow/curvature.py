@@ -24,7 +24,7 @@ from .errors import (
     NeighborhoodRankDeficient,
     UnsupportedDimension,
 )
-from .mesh import DiscreteImmersion, angle_defects, measure_weights
+from .mesh import DiscreteImmersion, angle_defects
 
 #: conditioning threshold on the normal equations of the local fits
 CONDITION_LIMIT = 1e12
@@ -233,15 +233,11 @@ def second_fundamental_form(
 
     trace = np.einsum("vkaa->vk", h)
     mean_curvature = np.einsum("vk,vkd->vd", trace, frames.normal)
-    forms = FundamentalForms(
-        h=h,
-        mean_curvature=mean_curvature,
-        aring=np.zeros_like(h),
-        a2=np.einsum("vkab,vkab->v", h, h),
-        h2=np.einsum("vk,vk->v", trace, trace),
-        aring2=np.zeros(nv),
+    return tracefree_decompose(
+        FundamentalForms(
+            h=h, mean_curvature=mean_curvature, aring=None, a2=None, h2=None, aring2=None
+        )
     )
-    return tracefree_decompose(forms)
 
 
 def tracefree_decompose(forms: FundamentalForms) -> FundamentalForms:
@@ -372,7 +368,7 @@ def gauss_residual(imm: DiscreteImmersion, forms: FundamentalForms) -> np.ndarra
         return np.zeros(imm.num_vertices)
     if n != 2:
         raise UnsupportedDimension("structural residual defined for n in {1, 2}")
-    intrinsic = angle_defects(imm) / measure_weights(imm)
+    intrinsic = angle_defects(imm) / imm.vertex_weights
     h = forms.h
     extrinsic = (h[:, :, 0, 0] * h[:, :, 1, 1] - h[:, :, 0, 1] ** 2).sum(axis=1)
     return intrinsic - extrinsic

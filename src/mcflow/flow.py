@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedDimension,
     ValidationError,
 )
-from .mesh import DiscreteImmersion, element_measures, measure_weights
+from .mesh import DiscreteImmersion
 from .monitors import SpacetimeAccumulator, StateView, lp_norm, state_view
 
 
@@ -149,13 +149,10 @@ def laplace_beltrami(imm: DiscreteImmersion):
     operator is Delta = M^{-1} (-S) with S positive semidefinite.
     """
     nv = imm.num_vertices
-    mass = measure_weights(imm)
+    mass = imm.vertex_weights
     if imm.intrinsic_dim == 1:
-        lengths = element_measures(imm)
-        if (lengths <= 0).any():
-            raise SolverFailure("zero-length segment in stiffness assembly")
         i, j = imm.elements[:, 0], imm.elements[:, 1]
-        w = 1.0 / lengths
+        w = 1.0 / imm.element_measures
     else:
         x = imm.vertices
         tri = imm.elements
@@ -205,13 +202,6 @@ def estimator_discrepancy(imm, forms) -> float:
 # ---------------------------------------------------------------------------
 # steps
 
-def _checked(imm: DiscreteImmersion, vertices: np.ndarray) -> DiscreteImmersion:
-    if not np.isfinite(vertices).all():
-        raise StepRejected("non-finite coordinates after step")
-    new = imm.with_vertices(vertices)  # validation raises DegenerateElement
-    return new
-
-
 def step_explicit(
     state: FlowState,
     dt: float,
@@ -228,7 +218,7 @@ def step_explicit(
         _, forms = jet_forms(imm, ring=ring)
         h_field = forms.mean_curvature
     try:
-        new = _checked(imm, imm.vertices + dt * h_field)
+        new = imm.with_vertices(imm.vertices + dt * h_field)
     except McflowError as exc:
         raise StepRejected(f"explicit step degenerated: {exc}") from exc
     return FlowState(new, state.t + dt, state.step_index + 1)
@@ -298,7 +288,7 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
     except (McflowError, RuntimeError) as exc:
         raise SolverFailure(f"implicit solve failed: {exc}") from exc
     try:
-        new = _checked(imm, new_vertices)
+        new = imm.with_vertices(new_vertices)
     except McflowError as exc:
         raise StepRejected(f"implicit step degenerated: {exc}") from exc
     return FlowState(new, state.t + dt, state.step_index + 1)

@@ -1,8 +1,15 @@
 """Simplicial immersions: polylines (n=1) and triangle meshes (n=2).
 
-Vertices live in R^{n+d} for any codimension d >= 1.  All functions here are
-pure; an immersion is treated as a value and never mutated in place, so
-instances are safe to share read-only across threads.
+Vertices live in R^{n+d} for any codimension d >= 1.  An immersion is treated
+as a value: its vertex array and elements are never changed in place, and
+``with_vertices`` returns a new immersion.  Each immersion fills two kinds of
+caches on first use:
+
+- per connectivity, shared by every ``with_vertices`` copy: ``topology`` (the
+  edges and, per ring, the neighborhood index arrays);
+- per vertex array, never carried over by ``with_vertices``:
+  ``element_measures`` (computed by the degeneracy check) and
+  ``vertex_weights``.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DegenerateElement, InvalidImmersion, ParseError, UnsupportedDimension
 
@@ -28,6 +36,7 @@ class DiscreteImmersion:
     ``closed`` asserts cycle/watertight connectivity and is validated.
     Construction validates everything; ``with_vertices`` keeps the elements
     and the connectivity caches (``topology``) and re-checks only geometry.
+    Both compute ``element_measures`` in the degeneracy check.
     """
 
     vertices: np.ndarray
@@ -56,10 +65,36 @@ class DiscreteImmersion:
     def topology(self) -> "MeshTopology":
         return MeshTopology(self)
 
+    @functools.cached_property
+    def element_measures(self) -> np.ndarray:
+        """Length of each segment or area of each triangle (any ambient dim)."""
+        x = self.vertices
+        el = self.elements
+        if self.intrinsic_dim == 1:
+            return np.linalg.norm(x[el[:, 1]] - x[el[:, 0]], axis=1)
+        e1 = x[el[:, 1]] - x[el[:, 0]]
+        e2 = x[el[:, 2]] - x[el[:, 0]]
+        g11 = np.einsum("ij,ij->i", e1, e1)
+        g22 = np.einsum("ij,ij->i", e2, e2)
+        g12 = np.einsum("ij,ij->i", e1, e2)
+        gram = np.clip(g11 * g22 - g12 ** 2, 0.0, None)
+        return 0.5 * np.sqrt(gram)
+
+    @functools.cached_property
+    def vertex_weights(self) -> np.ndarray:
+        """Barycentric lumped vertex measure; sums to total length/area."""
+        share = self.element_measures / (self.intrinsic_dim + 1)
+        weights = np.zeros(self.num_vertices)
+        np.add.at(weights, self.elements.ravel(), np.repeat(share, self.intrinsic_dim + 1))
+        return weights
+
     def with_vertices(self, vertices: np.ndarray) -> "DiscreteImmersion":
-        """Same connectivity, new positions; shares ``topology`` with self."""
+        """Same connectivity, new positions; shares ``topology`` with self but
+        none of the arrays of self's vertex array."""
         expected = self.topology.num_vertices
         new = copy.copy(self)
+        for name in ("element_measures", "vertex_weights"):
+            new.__dict__.pop(name, None)
         new.vertices = np.ascontiguousarray(vertices, dtype=float)
         _check_coordinates(new)
         # the elements reference every one of the old vertices exactly
@@ -120,7 +155,7 @@ def _check_coordinates(imm: DiscreteImmersion) -> None:
 
 
 def _check_measures(imm: DiscreteImmersion) -> None:
-    measures = element_measures(imm)
+    measures = imm.element_measures
     small = measures <= DEGENERATE_TOL * measures.mean()
     if small.any():
         raise DegenerateElement(
@@ -149,30 +184,6 @@ def _check_surface_edges(imm: DiscreteImmersion) -> None:
     else:
         if counts.max() > 2:
             raise InvalidImmersion("non-manifold edge")
-
-
-def element_measures(imm: DiscreteImmersion) -> np.ndarray:
-    """Length of each segment or area of each triangle (any ambient dim)."""
-    x = imm.vertices
-    el = imm.elements
-    if imm.intrinsic_dim == 1:
-        return np.linalg.norm(x[el[:, 1]] - x[el[:, 0]], axis=1)
-    e1 = x[el[:, 1]] - x[el[:, 0]]
-    e2 = x[el[:, 2]] - x[el[:, 0]]
-    g11 = np.einsum("ij,ij->i", e1, e1)
-    g22 = np.einsum("ij,ij->i", e2, e2)
-    g12 = np.einsum("ij,ij->i", e1, e2)
-    gram = np.clip(g11 * g22 - g12 ** 2, 0.0, None)
-    return 0.5 * np.sqrt(gram)
-
-
-def measure_weights(imm: DiscreteImmersion) -> np.ndarray:
-    """Barycentric lumped vertex measure; sums to total length/area."""
-    measures = element_measures(imm)  # construction and with_vertices reject degenerate ones
-    share = measures / (imm.intrinsic_dim + 1)
-    weights = np.zeros(imm.num_vertices)
-    np.add.at(weights, imm.elements.ravel(), np.repeat(share, imm.intrinsic_dim + 1))
-    return weights
 
 
 def angle_defects(imm: DiscreteImmersion) -> np.ndarray:
@@ -207,45 +218,40 @@ class MeshTopology:
         self.num_vertices = imm.num_vertices
         self.elements = imm.elements
         self.edges = np.unique(np.sort(_directed_edges(imm.elements), axis=1), axis=0)
-        self._neighbors = _adjacency_lists(self.edges, imm.num_vertices)
         self._ring_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self._neighbors[v]
 
     def ring_neighborhoods(self, ring: int) -> tuple[np.ndarray, np.ndarray]:
         """Padded (V, m) index array and boolean mask of ring-BFS neighborhoods.
 
         Row v lists v first, then neighbors by increasing graph depth and
-        index; padding repeats v with mask False.
+        index; padding repeats v with mask False.  Built once per ring from
+        the patterns of the powers (A + I)^k, k = 0..ring, of the adjacency
+        matrix A: w lies at depth ring + 1 - #{k : w in (A + I)^k} from v.
         """
         if ring < 1:
             raise ValueError("ring must be >= 1")
         if ring in self._ring_cache:
             return self._ring_cache[ring]
-        rows = []
-        for v in range(self.num_vertices):
-            seen = {v}
-            frontier = [v]
-            ordered = [v]
-            for _ in range(ring):
-                nxt = []
-                for u in frontier:
-                    for w in self._neighbors[u]:
-                        if w not in seen:
-                            seen.add(w)
-                            nxt.append(int(w))
-                nxt.sort()
-                ordered.extend(nxt)
-                frontier = nxt
-            rows.append(ordered)
-        width = max(len(r) for r in rows)
-        idx = np.empty((self.num_vertices, width), dtype=np.int64)
-        mask = np.zeros((self.num_vertices, width), dtype=bool)
-        for v, row in enumerate(rows):
-            idx[v, : len(row)] = row
-            idx[v, len(row) :] = v
-            mask[v, : len(row)] = True
+        nv = self.num_vertices
+        loops = np.arange(nv)
+        heads = np.concatenate([self.edges[:, 0], self.edges[:, 1], loops])
+        tails = np.concatenate([self.edges[:, 1], self.edges[:, 0], loops])
+        hop = sparse.csr_matrix((np.ones(len(heads)), (heads, tails)), shape=(nv, nv))
+        reach = sparse.identity(nv, format="csr")
+        hits = reach
+        for _ in range(ring):
+            reach = reach @ hop
+            reach.data[:] = 1.0
+            hits = hits + reach
+        rows = np.repeat(loops, np.diff(hits.indptr))
+        order = np.lexsort((hits.indices, -hits.data, rows))
+        rows, cols = rows[order], hits.indices[order]
+        pos = np.arange(len(rows)) - hits.indptr[rows]
+        width = int(np.diff(hits.indptr).max())
+        idx = np.repeat(loops[:, None], width, axis=1)
+        mask = np.zeros((nv, width), dtype=bool)
+        idx[rows, pos] = cols
+        mask[rows, pos] = True
         self._ring_cache[ring] = (idx, mask)
         return idx, mask
 
@@ -272,14 +278,6 @@ class MeshTopology:
         return out
 
 
-def _adjacency_lists(edges: np.ndarray, nv: int) -> list[np.ndarray]:
-    pairs = np.concatenate([edges, edges[:, ::-1]])
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    pairs = pairs[order]
-    starts = np.searchsorted(pairs[:, 0], np.arange(nv + 1))
-    return [pairs[starts[v] : starts[v + 1], 1] for v in range(nv)]
-
-
 # ---------------------------------------------------------------------------
 # snapshot formats
 
@@ -293,7 +291,7 @@ def write_snapshot(imm: DiscreteImmersion, path, scalars: dict | None = None) ->
     cols.append(np.asarray(scalars.get("H2", zeros)))
     cols.append(np.asarray(scalars.get("A2", zeros)))
     cols.append(np.asarray(scalars.get("Aring2", zeros)))
-    cols.append(np.asarray(scalars.get("weight", measure_weights(imm))))
+    cols.append(np.asarray(scalars["weight"] if "weight" in scalars else imm.vertex_weights))
     data = np.column_stack(cols)
     path = str(path)
     with open(path, "w") as fh:

@@ -27,7 +27,7 @@ from .curvature import (
     jet_forms,
 )
 from .errors import UnsupportedDimension, WindowNotCovered
-from .mesh import DiscreteImmersion, measure_weights
+from .mesh import DiscreteImmersion
 
 #: squared-curvature scale below which derivative fits are treated as noise
 GRADIENT_NOISE_FLOOR = 1e-2
@@ -171,7 +171,7 @@ def state_view(body, t: float = 0.0, ring: int = DEFAULT_RING) -> StateView:
     if isinstance(body, DiscreteImmersion):
         frames, forms = jet_forms(body, ring=ring)
         a2, h2, aring2 = forms.a2, forms.h2, forms.aring2
-        weights = measure_weights(body)
+        weights = body.vertex_weights
     else:
         st = body.state(t)
         frames = forms = None

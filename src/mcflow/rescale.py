@@ -9,7 +9,7 @@ import numpy as np
 
 from .curvature import FundamentalForms, jet_forms
 from .errors import PastSingularity, WindowNotCovered, ZeroMeanCurvature
-from .mesh import DiscreteImmersion, measure_weights
+from .mesh import DiscreteImmersion
 
 
 @dataclass
@@ -23,7 +23,7 @@ class RescaledState:
 
 
 def weighted_centroid(imm: DiscreteImmersion) -> np.ndarray:
-    w = measure_weights(imm)
+    w = imm.vertex_weights
     return (w[:, None] * imm.vertices).sum(axis=0) / w.sum()
 
 
@@ -84,7 +84,7 @@ def roundness_metrics(
         raise ZeroMeanCurvature("mean curvature vanishes at some vertex")
     pinch = float((forms.aring2 / forms.h2).max())
 
-    weights = measure_weights(imm)
+    weights = imm.vertex_weights
     if center is None:
         center = (weights[:, None] * imm.vertices).sum(axis=0) / weights.sum()
     rel = imm.vertices - center

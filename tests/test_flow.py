@@ -33,14 +33,14 @@ from mcflow.flow import (
     step_explicit,
     step_semi_implicit,
 )
-from mcflow.mesh import DiscreteImmersion, element_measures, measure_weights
+from mcflow.mesh import DiscreteImmersion
 from mcflow.scenes import embed_immersion, icosphere, perturb_radially, polygon_circle
 
 ICO4_EDGE_SQ = (1.0514622 / 16.0) ** 2  # squared edge length of the subdiv-4 icosphere
 
 
 def mean_radius(imm, weights=None):
-    w = measure_weights(imm) if weights is None else weights
+    w = imm.vertex_weights if weights is None else weights
     centroid = (w[:, None] * imm.vertices).sum(axis=0) / w.sum()
     return float(w @ np.linalg.norm(imm.vertices - centroid, axis=1) / w.sum())
 
@@ -321,6 +321,30 @@ class TestRunUntil:
         trace = run_until(FlowState(immersion=imm), cfg)
         assert trace.status == "singular" or trace.records[-1].a2_max > 1e4
 
+    def test_non_finite_step_ends_singular(self, monkeypatch):
+        monkeypatch.setattr(flow, "_pcg", lambda system, x, r: np.full_like(x, np.nan))
+        cfg = SchemeConfig(scheme="semi_implicit", stop=StopRule(step_cap=3))
+        trace = run_until(FlowState(immersion=icosphere(subdiv=1)), cfg)
+        assert trace.status == "singular"
+        assert trace.stop_reason == (
+            "step rejected: implicit step degenerated: non-finite vertex coordinates"
+        )
+        assert len(trace.records) == 1
+
+    def test_element_measures_computed_once_per_vertex_array(self, monkeypatch):
+        computed = []
+        compute = DiscreteImmersion.element_measures.func
+
+        def counting(imm):
+            computed.append(imm.num_vertices)
+            return compute(imm)
+
+        monkeypatch.setattr(DiscreteImmersion.element_measures, "func", counting)
+        steps = 4
+        cfg = SchemeConfig(scheme="semi_implicit", stop=StopRule(step_cap=steps))
+        run_until(FlowState(immersion=icosphere(subdiv=2)), cfg)
+        assert len(computed) == steps + 1  # the initial immersion, then one per step
+
 
 class TestCurveFlow:
     def test_circle_shrinks_on_oracle(self):
@@ -354,7 +378,7 @@ class TestRedistribute:
         angles = 2 * np.pi * np.linspace(0, 1, 256, endpoint=False) ** 1.5
         imm = polygon_circle(angles=angles)
         out = redistribute(imm)
-        seg = element_measures(out)
+        seg = out.element_measures
         assert seg.max() / seg.min() <= 1.01
 
     @settings(max_examples=15, deadline=None)
@@ -365,8 +389,8 @@ class TestRedistribute:
     )
     def test_length_preserved(self, c1, c2, s3):
         imm = fourier_curve([c1, c2], [0.0, 0.0, s3])
-        before = element_measures(imm).sum()
-        after = element_measures(redistribute(imm)).sum()
+        before = imm.element_measures.sum()
+        after = redistribute(imm).element_measures.sum()
         assert abs(after - before) / before <= 1e-6
 
     def test_requires_curve(self, icosphere4):

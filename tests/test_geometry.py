@@ -36,7 +36,6 @@ from mcflow.errors import (
 from mcflow.mesh import (
     DiscreteImmersion,
     angle_defects,
-    measure_weights,
     read_snapshot,
     write_snapshot,
 )
@@ -183,28 +182,91 @@ class TestTopology:
         assert moved.transformed(translation=[1.0, 0.0, 0.0]).topology is imm.topology
         assert embed_immersion(moved, 5).topology is imm.topology
 
+    @pytest.mark.parametrize("ring", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: icosphere(subdiv=3),
+            lambda: clifford_torus(resolution=16),
+            lambda: polygon_circle(segments=64, ambient_dim=4),
+            lambda: _two_cycles(),
+        ],
+        ids=["icosphere3", "clifford16", "64gon_r4", "two_cycles"],
+    )
+    def test_rings_match_breadth_first_search(self, build, ring):
+        imm = build()
+        idx, mask = imm.topology.ring_neighborhoods(ring)
+        ref_idx, ref_mask = _bfs_rings(imm.topology.edges, imm.num_vertices, ring)
+        assert idx.dtype == ref_idx.dtype and mask.dtype == ref_mask.dtype
+        assert np.array_equal(idx, ref_idx) and np.array_equal(mask, ref_mask)
+        assert imm.topology.ring_neighborhoods(ring)[0] is idx
+
+
+def _two_cycles():
+    """A 12-gon and a 9-gon, disjoint, in one immersion of R^3."""
+    a = polygon_circle(segments=12, ambient_dim=3)
+    b = polygon_circle(segments=9, r0=0.5, ambient_dim=3, center=[0.0, 0.0, 2.0])
+    return DiscreteImmersion(
+        vertices=np.vstack([a.vertices, b.vertices]),
+        elements=np.vstack([a.elements, b.elements + a.num_vertices]),
+        intrinsic_dim=1,
+    )
+
+
+def _bfs_rings(edges, nv, ring):
+    """Reference ring neighborhoods by a per-vertex breadth-first search."""
+    neighbors = [[] for _ in range(nv)]
+    for a, b in edges:
+        neighbors[a].append(int(b))
+        neighbors[b].append(int(a))
+    rows = []
+    for v in range(nv):
+        seen, frontier, ordered = {v}, [v], [v]
+        for _ in range(ring):
+            nxt = sorted({w for u in frontier for w in neighbors[u]} - seen)
+            seen.update(nxt)
+            ordered.extend(nxt)
+            frontier = nxt
+        rows.append(ordered)
+    width = max(len(r) for r in rows)
+    idx = np.empty((nv, width), dtype=np.int64)
+    mask = np.zeros((nv, width), dtype=bool)
+    for v, row in enumerate(rows):
+        idx[v, : len(row)] = row
+        idx[v, len(row) :] = v
+        mask[v, : len(row)] = True
+    return idx, mask
+
 
 class TestMeasureWeights:
     def test_fine_icosphere_area(self):
         imm = icosphere(subdiv=5)
         assert imm.num_vertices == 10242
-        total = measure_weights(imm).sum()
+        total = imm.vertex_weights.sum()
         assert total == pytest.approx(4 * math.pi, rel=5e-3)
 
     def test_polygon_circumference(self):
         imm = polygon_circle(segments=256, r0=1.0)
-        assert measure_weights(imm).sum() == pytest.approx(2 * math.pi, abs=1e-3)
+        assert imm.vertex_weights.sum() == pytest.approx(2 * math.pi, abs=1e-3)
 
     @settings(max_examples=20, deadline=None)
     @given(lam=st.floats(0.05, 20.0))
     def test_scaling_homogeneity(self, lam):
         imm = icosphere(subdiv=1)
-        w = measure_weights(imm)
-        w_scaled = measure_weights(imm.transformed(scale=lam))
+        w = imm.vertex_weights
+        w_scaled = imm.transformed(scale=lam).vertex_weights
         assert np.allclose(w_scaled, lam ** 2 * w, rtol=1e-12)
 
     def test_all_positive(self, icosphere4):
-        assert (measure_weights(icosphere4) > 0).all()
+        assert (icosphere4.vertex_weights > 0).all()
+
+    def test_with_vertices_recomputes_measures(self):
+        imm = icosphere(subdiv=2)
+        weights, measures = imm.vertex_weights, imm.element_measures
+        doubled = imm.transformed(scale=2.0)
+        assert np.array_equal(doubled.vertex_weights, 4.0 * weights)
+        assert np.array_equal(doubled.element_measures, 4.0 * measures)
+        assert imm.vertex_weights is weights and imm.element_measures is measures
 
 
 class TestFrames:
@@ -354,11 +416,9 @@ class TestGaussResidual:
         topo, _, forms = icosphere4_forms
         res = gauss_residual(icosphere4, forms)
         assert np.abs(res).mean() <= 5e-2
-        deg = np.array(
-            [len(topo.neighbors(v)) for v in range(icosphere4.num_vertices)]
-        )
+        deg = np.bincount(topo.edges.ravel())
         assert np.abs(res[deg == 6]).max() <= 5e-2
-        intrinsic = angle_defects(icosphere4) / measure_weights(icosphere4)
+        intrinsic = angle_defects(icosphere4) / icosphere4.vertex_weights
         assert np.abs(intrinsic[deg == 6] - 1.0).max() < 5e-2
 
     def test_decreases_under_refinement(self):
@@ -721,7 +781,7 @@ class TestEquivariance:
         ):
             assert np.abs(a - b).max() <= 1e-10 * max(np.abs(a).max(), 1.0)
         assert np.allclose(
-            measure_weights(imm), measure_weights(moved), rtol=1e-10
+            imm.vertex_weights, moved.vertex_weights, rtol=1e-10
         )
 
     @settings(max_examples=10, deadline=None)
@@ -765,4 +825,4 @@ class TestSnapshotIO:
         assert np.array_equal(loaded.vertices, imm.vertices)
         assert np.array_equal(loaded.elements, imm.elements)
         assert np.array_equal(scalars["H2"], forms.h2)
-        assert np.array_equal(scalars["weight"], measure_weights(imm))
+        assert np.array_equal(scalars["weight"], imm.vertex_weights)

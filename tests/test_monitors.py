@@ -52,17 +52,13 @@ class TestLpNorm:
 
     def test_aring_noise_floor_on_sphere(self, icosphere4, icosphere4_forms):
         _, _, forms = icosphere4_forms
-        from mcflow.mesh import measure_weights
-
-        w = measure_weights(icosphere4)
+        w = icosphere4.vertex_weights
         for p in (1.0, 2.0, 4.0):
             assert lp_norm(np.sqrt(forms.aring2), p, w) <= 1e-1
 
     def test_h_l2_on_unit_sphere(self, icosphere4, icosphere4_forms):
         _, _, forms = icosphere4_forms
-        from mcflow.mesh import measure_weights
-
-        w = measure_weights(icosphere4)
+        w = icosphere4.vertex_weights
         value = lp_norm(np.sqrt(forms.h2), 2.0, w)
         assert value == pytest.approx(4 * math.sqrt(math.pi), rel=1e-2)
 

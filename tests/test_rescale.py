@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mcflow.curvature import jet_forms
 from mcflow.errors import PastSingularity, ZeroMeanCurvature
 from mcflow.flow import FlowState, SchemeConfig, StopRule, run_until
-from mcflow.mesh import DiscreteImmersion, measure_weights
+from mcflow.mesh import DiscreteImmersion
 from mcflow.rescale import (
     estimate_center,
     parabolic_rescale,
@@ -70,8 +70,8 @@ class TestParabolicRescale:
         _, rescaled_forms = jet_forms(state.immersion)
         assert np.allclose(rescaled_forms.h2, lam ** 2 * forms.h2, rtol=1e-12)
         assert np.allclose(rescaled_forms.a2, lam ** 2 * forms.a2, rtol=1e-12)
-        w = measure_weights(icosphere4)
-        w_rescaled = measure_weights(state.immersion)
+        w = icosphere4.vertex_weights
+        w_rescaled = state.immersion.vertex_weights
         assert np.allclose(w_rescaled, w / lam ** 2, rtol=1e-12)
         # pinch ratio is scale invariant
         a = roundness_metrics(icosphere4, forms)["pinch_ratio"]

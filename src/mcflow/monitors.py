@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from . import analytic
 from .curvature import (
@@ -31,6 +31,10 @@ from .mesh import DiscreteImmersion
 
 #: squared-curvature scale below which derivative fits are treated as noise
 GRADIENT_NOISE_FLOOR = 1e-2
+
+#: Dijkstra sources per call in graph_diameter; a block holds
+#: _SOURCE_BLOCK x V distances, which bounds the sweep's transient memory
+_SOURCE_BLOCK = 128
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -143,24 +147,59 @@ def _digest(*parts) -> str:
 
 
 def graph_diameter(imm: DiscreteImmersion) -> float:
-    """Geodesic diameter of the 1-skeleton (exact all-pairs shortest paths)."""
+    """Geodesic diameter of the 1-skeleton; ``inf`` when it is disconnected.
+
+    Equal, bit for bit, to the maximum of the all-pairs Dijkstra matrix, but
+    holds only ``_SOURCE_BLOCK`` of its rows at a time.  Each evaluated source
+    w bounds every eccentricity from above, ecc(v) <= ecc(w) + d(w, v)
+    (Takes & Kosters, CIKM 2011), and a vertex whose bound falls below the
+    largest eccentricity found so far is never run as a source.  The sweep
+    starts with a double sweep (vertex 0, then the vertex farthest from it)
+    and then runs the pending vertices with the largest bounds.
+    """
     edges = imm.topology.edges
     lengths = np.linalg.norm(
         imm.vertices[edges[:, 1]] - imm.vertices[edges[:, 0]], axis=1
     )
     nv = imm.num_vertices
-    graph = coo_matrix(
-        (
-            np.concatenate([lengths, lengths]),
-            (
-                np.concatenate([edges[:, 0], edges[:, 1]]),
-                np.concatenate([edges[:, 1], edges[:, 0]]),
-            ),
-        ),
-        shape=(nv, nv),
-    ).tocsr()
-    dist = shortest_path(graph, method="D", directed=False)
-    return float(dist.max())
+    graph = csr_matrix((lengths, (edges[:, 0], edges[:, 1])), shape=(nv, nv))
+    # Dijkstra's distance to v is the float sum along some path of fewer than
+    # V edges, within a relative (V - 1) eps / 2 of the exact length.  Hence
+    # the computed ecc(v) exceeds the computed ecc(w) + d(w, v) by at most a
+    # relative (V - 1/2) eps, and the product with (1 + slack) loses about
+    # eps more: (1 + 2 V eps) covers both.  Twice that margin keeps the row
+    # that holds the largest computed distance from ever being dropped, so
+    # the result is that distance itself.
+    slack = 4.0 * nv * np.finfo(float).eps
+    upper = np.full(nv, np.inf)
+    pending = np.ones(nv, dtype=bool)
+    best = 0.0
+    block = np.zeros(1, dtype=np.int64)
+    runs = 0
+    while block.size:
+        # no name holds the rows, so a block is freed before the next one
+        ecc = _fold_rows(dijkstra(graph, directed=False, indices=block), upper)
+        if np.isinf(ecc).any():  # disconnected: the first row shows it
+            return math.inf
+        best = max(best, float(ecc.max()))
+        pending[block] = False
+        pending &= upper * (1.0 + slack) >= best
+        runs += 1
+        candidates = np.flatnonzero(pending)
+        order = np.argsort(-upper[candidates], kind="stable")
+        # after vertex 0, the largest bound ecc(0) + d(0, v) is at the vertex
+        # farthest from it: the first two one-source blocks are a double sweep
+        block = candidates[order[: 1 if runs < 2 else _SOURCE_BLOCK]]
+    return best
+
+
+def _fold_rows(rows: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Eccentricities of a block of distance rows; lowers ``upper`` to
+    min over the block's sources w of ecc(w) + d(w, v)."""
+    ecc = rows.max(axis=1)
+    for e, row in zip(ecc, rows):
+        np.minimum(upper, row + e, out=upper)
+    return ecc
 
 
 def state_view(body, t: float = 0.0, ring: int = DEFAULT_RING) -> StateView:
@@ -253,7 +292,9 @@ def _topping_report(view: StateView) -> MonitorReport:
     n = view.n
     integral = float(view.weights @ np.sqrt(np.clip(view.h2, 0.0, None)) ** (n - 1))
     diam = view.diameter
-    ratio = diam / integral if integral else None
+    if not math.isfinite(diam):  # a disconnected mesh; JSON has no Infinity
+        diam = None
+    ratio = diam / integral if diam is not None and integral else None
     return MonitorReport(
         name="topping_ratio",
         digest=view.digest,

@@ -2,7 +2,8 @@
 
 Artifact layout of one run directory::
 
-    MANIFEST.json     status + config (rewritten on completion)
+    MANIFEST.json     status, config and python/numpy/scipy versions
+                      (rewritten on completion)
     trace.ndjson      one record per accepted step, line-atomic appends
     snapshots/        CSV snapshots + connectivity sidecars + index.json
     monitors.json     final monitor reports
@@ -13,8 +14,10 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 
 import numpy as np
+import scipy
 
 from . import analytic, rescale as rsc, scenes
 from .config import RunConfig, SceneSpec
@@ -87,6 +90,11 @@ def run(config: RunConfig, out_dir) -> int:
         "config": config.to_dict(),
         "artifacts": ["trace.ndjson"],
         "error": None,
+        "versions": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
     }
     _dump(manifest, manifest_path)
 

@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import platform
 import shutil
 
 import numpy as np
 import pytest
+import scipy
 
 from mcflow import cli, config as config_mod, curvature, runner
 from mcflow.analytic import SphereScene, spacetime_h_norm_closed_form
@@ -307,6 +309,17 @@ class TestRun:
         assert trace.final_state is None
         assert len(trace.records) == 6 and trace.snapshots == []
         assert trace.records == runner.read_trace_records(out)
+
+    def test_manifest_records_versions(self, tmp_path):
+        raw = {"scene": {"kind": "analytic_sphere", "n": 2}, "stop": {"step_cap": 2}}
+        out = tmp_path / "run5"
+        assert runner.run(config_from_dict(raw), out) == 0
+        manifest = json.loads((out / "MANIFEST.json").read_text())
+        assert manifest["versions"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        }
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # ring-1 stencils on a tetrahedron underdetermine the jet fit

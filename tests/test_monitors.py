@@ -1,9 +1,16 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import shortest_path
+
+from conftest import random_rotation
+from mcflow import monitors
 
 from mcflow.analytic import (
     SphereProductScene,
@@ -13,6 +20,7 @@ from mcflow.analytic import (
 )
 from mcflow.errors import UnsupportedDimension, WindowNotCovered
 from mcflow.flow import FlowTrace, TraceRecord
+from mcflow.mesh import DiscreteImmersion
 from mcflow.monitors import (
     HOLDS,
     INFORMATIONAL,
@@ -28,7 +36,7 @@ from mcflow.monitors import (
     state_view,
 )
 from mcflow.flow import FlowState, MonitorParams, SchemeConfig, StopRule, run_until
-from mcflow.scenes import icosphere
+from mcflow.scenes import clifford_torus, ellipsoid, icosphere, polygon_circle
 
 
 def synthetic_sphere_trace(n=2, r0=1.0, steps=400, t_frac=0.9):
@@ -192,8 +200,6 @@ class TestInequalitySuite:
         assert hmax.verdict == HOLDS
 
     def test_view_fits_once_and_derives_on_demand(self, monkeypatch):
-        from mcflow import monitors
-
         fits, derivs = [], []
         fit, derive = monitors.jet_forms, monitors.derivative_data
 
@@ -218,11 +224,125 @@ class TestInequalitySuite:
         assert "gradient_a_vs_aring" in {r.name for r in first}
 
     def test_diameter_of_circle_graph(self):
-        from mcflow.scenes import polygon_circle
-
         imm = polygon_circle(segments=128)
         # half the circumference of the inscribed polygon
         assert graph_diameter(imm) == pytest.approx(math.pi, rel=1e-3)
+
+
+def _dense_diameter(imm):
+    """Reference: maximum of the all-pairs Dijkstra distance matrix."""
+    edges = imm.topology.edges
+    lengths = np.linalg.norm(imm.vertices[edges[:, 1]] - imm.vertices[edges[:, 0]], axis=1)
+    nv = imm.num_vertices
+    graph = coo_matrix(
+        (
+            np.concatenate([lengths, lengths]),
+            (
+                np.concatenate([edges[:, 0], edges[:, 1]]),
+                np.concatenate([edges[:, 1], edges[:, 0]]),
+            ),
+        ),
+        shape=(nv, nv),
+    ).tocsr()
+    return float(shortest_path(graph, method="D", directed=False).max())
+
+
+def _jittered_icosphere(subdiv, seed):
+    imm = icosphere(subdiv=subdiv)
+    scale = 1.0 + 0.05 * np.random.default_rng(seed).uniform(-1.0, 1.0, imm.num_vertices)
+    return imm.with_vertices(imm.vertices * scale[:, None])
+
+
+def _plane_in_r4(seed):
+    return random_rotation(4, seed)[:, :2]
+
+
+def _two_copies(imm, shift):
+    """Disjoint union of a mesh and its translate by ``shift``."""
+    return DiscreteImmersion(
+        vertices=np.vstack([imm.vertices, imm.vertices + shift]),
+        elements=np.vstack([imm.elements, imm.elements + imm.num_vertices]),
+        intrinsic_dim=imm.intrinsic_dim,
+    )
+
+
+@pytest.fixture
+def dijkstra_sources(monkeypatch):
+    """List that grows by the sources of every monitors.dijkstra call."""
+    sources = []
+    real = monitors.dijkstra
+
+    def counting(graph, **kwargs):
+        sources.extend(np.atleast_1d(kwargs["indices"]).tolist())
+        return real(graph, **kwargs)
+
+    monkeypatch.setattr(monitors, "dijkstra", counting)
+    return sources
+
+
+@pytest.fixture(scope="module")
+def ellipsoid4():
+    return ellipsoid([1.2, 1.0, 0.9], subdiv=4)
+
+
+class TestGraphDiameter:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: icosphere(subdiv=2),
+            lambda: icosphere(subdiv=3),
+            lambda: icosphere(subdiv=4),
+            lambda: ellipsoid([1.2, 1.0, 0.9], subdiv=4),
+            lambda: clifford_torus(1.0, 1.0, resolution=16, extra_codim=1),
+            lambda: clifford_torus(1.0, 1.0, resolution=64),
+            lambda: polygon_circle(segments=64),
+            lambda: polygon_circle(segments=256),
+            lambda: polygon_circle(segments=64, ambient_dim=4, subspace=_plane_in_r4(5)),
+            lambda: polygon_circle(segments=256, ambient_dim=4, subspace=_plane_in_r4(6)),
+            lambda: _jittered_icosphere(3, seed=11),
+        ],
+        ids=[
+            "icosphere2", "icosphere3", "icosphere4", "ellipsoid4", "torus16_R5",
+            "torus64", "64gon", "256gon", "64gon_R4", "256gon_R4", "jittered_icosphere3",
+        ],
+    )
+    def test_bit_identical_to_all_pairs_maximum(self, build):
+        imm = build()
+        assert graph_diameter(imm) == _dense_diameter(imm)
+
+    def test_prunes_most_sources_on_ellipsoid(self, ellipsoid4, dijkstra_sources):
+        graph_diameter(ellipsoid4)
+        assert len(dijkstra_sources) == len(set(dijkstra_sources))
+        assert len(dijkstra_sources) < ellipsoid4.num_vertices / 2
+
+    def test_transient_memory_is_bounded(self, clifford64):
+        clifford64.topology.edges
+        tracemalloc.start()
+        try:
+            graph_diameter(clifford64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24e6, f"traced peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize(
+        "build, shift",
+        [
+            (lambda: polygon_circle(segments=64), [3.0, 0.0]),
+            (lambda: icosphere(subdiv=2), [3.0, 0.0, 0.0]),
+        ],
+        ids=["two_polygons", "two_icospheres"],
+    )
+    def test_disconnected_mesh_has_no_finite_diameter(self, build, shift, dijkstra_sources):
+        imm = _two_copies(build(), np.array(shift))
+        assert graph_diameter(imm) == math.inf
+        assert dijkstra_sources == [0]
+        reports = inequality_suite(state_view(imm))
+        topping = next(r for r in reports if r.name == "topping_ratio")
+        assert topping.values["diameter"] is None
+        assert topping.values["ratio"] is None
+        assert topping.verdict == INFORMATIONAL
+        json.dumps([r.to_json_dict() for r in reports], allow_nan=False)
 
 
 class TestMoserRatio:

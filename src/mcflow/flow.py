@@ -4,7 +4,9 @@ Two mean-curvature estimators are used deliberately: the jet fit drives the
 explicit scheme and all diagnostics, while the implicit scheme moves vertices
 through the Laplace-Beltrami identity H = Delta F of the current metric.
 Their discrepancy is itself a logged diagnostic: a median gap above 10%
-flags an under-resolved mesh.
+flags an under-resolved mesh.  The operator Delta = M^{-1} (-S) belongs to
+the immersion (``imm.vertex_weights`` and ``imm.stiffness``, assembled once
+per vertex array in ``mesh``); it also bounds the explicit step.
 """
 
 from __future__ import annotations
@@ -59,7 +61,9 @@ class StopRule:
 
 @dataclass
 class SchemeConfig:
-    """Step-size policy: dt = min(cfl / max|A|^2, dt_max)."""
+    """Step-size policy: dt = min(cfl / max|A|^2, dt_max), never past ``stop.t_end``;
+    the explicit scheme also keeps dt <= min_i M_i / S_ii of the current state, the
+    Gershgorin bound of forward Euler on M x' = -S x (h^2 / 2 on a curve of spacing h)."""
 
     scheme: str = "semi_implicit"
     cfl: float = 0.02
@@ -140,55 +144,11 @@ class FlowTrace:
 
 
 # ---------------------------------------------------------------------------
-# Laplace-Beltrami assembly
-
-def laplace_beltrami(imm: DiscreteImmersion):
-    """Lumped mass vector and stiffness matrix of the current metric.
-
-    Cotangent weights for surfaces, inverse segment lengths for curves; the
-    operator is Delta = M^{-1} (-S) with S positive semidefinite.
-    """
-    nv = imm.num_vertices
-    mass = imm.vertex_weights
-    if imm.intrinsic_dim == 1:
-        i, j = imm.elements[:, 0], imm.elements[:, 1]
-        w = 1.0 / imm.element_measures
-    else:
-        x = imm.vertices
-        tri = imm.elements
-        rows = []
-        cols = []
-        vals = []
-        for corner in range(3):
-            a = tri[:, corner]
-            b = tri[:, (corner + 1) % 3]
-            c = tri[:, (corner + 2) % 3]
-            u = x[b] - x[a]
-            v = x[c] - x[a]
-            cross2 = np.einsum("ij,ij->i", u, u) * np.einsum("ij,ij->i", v, v) - (
-                np.einsum("ij,ij->i", u, v)
-            ) ** 2
-            area2 = np.sqrt(np.clip(cross2, 0.0, None))
-            cot = np.einsum("ij,ij->i", u, v) / np.where(area2 > 0, area2, np.inf)
-            rows.append(b)
-            cols.append(c)
-            vals.append(0.5 * cot)
-        i = np.concatenate(rows)
-        j = np.concatenate(cols)
-        w = np.concatenate(vals)
-    off = sparse.coo_matrix(
-        (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
-        shape=(nv, nv),
-    ).tocsr()
-    diag = np.asarray(off.sum(axis=1)).ravel()
-    stiffness = sparse.diags(diag) - off
-    return mass, stiffness
-
+# Laplace-Beltrami mean curvature
 
 def laplace_mean_curvature(imm: DiscreteImmersion) -> np.ndarray:
     """H estimated as the Laplace-Beltrami image of the position."""
-    mass, stiffness = laplace_beltrami(imm)
-    return -(stiffness @ imm.vertices) / mass[:, None]
+    return -(imm.stiffness @ imm.vertices) / imm.vertex_weights[:, None]
 
 
 def estimator_discrepancy(imm, forms) -> float:
@@ -279,7 +239,7 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
     """
     imm = state.immersion
     try:
-        mass, stiffness = laplace_beltrami(imm)
+        mass, stiffness = imm.vertex_weights, imm.stiffness
         system = sparse.diags(mass) + dt * stiffness
         if imm.intrinsic_dim == 1:
             new_vertices = splu(system.tocsc()).solve(mass[:, None] * imm.vertices)
@@ -352,7 +312,7 @@ def run_until(
     """Advance the flow until the stop rule fires, recording each accepted step.
 
     ``state.immersion`` is a mesh or an exact scene.  Steps shrink as
-    curvature concentrates (dt = cfl / max|A|^2), so the driver approaches
+    curvature concentrates (see ``SchemeConfig``), so the driver approaches
     the maximal time from below; element collapse ends a mesh run with a
     ``singular`` verdict instead of surgery.  An exact scene is sampled from
     its closed form, never steps past its collapse time and takes no
@@ -419,6 +379,9 @@ def run_until(
             raise MaxStepsExceeded(f"no stop condition after {accepted} steps")
 
         dt = min(cfg.cfl / records[-1].a2_max, cfg.dt_max)
+        if mesh and cfg.scheme == "explicit":
+            imm = state.immersion
+            dt = min(dt, float(np.min(imm.vertex_weights / imm.stiffness.diagonal())))
         if stop.t_end is not None:
             dt = min(dt, stop.t_end - state.t)
 

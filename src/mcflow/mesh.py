@@ -8,8 +8,8 @@ caches on first use:
 - per connectivity, shared by every ``with_vertices`` copy: ``topology`` (the
   edges and, per ring, the neighborhood index arrays);
 - per vertex array, never carried over by ``with_vertices``:
-  ``element_measures`` (computed by the degeneracy check) and
-  ``vertex_weights``.
+  ``element_measures`` (computed by the degeneracy check), ``vertex_weights``
+  (the lumped mass M) and ``stiffness`` (the Laplace-Beltrami stiffness S).
 """
 
 from __future__ import annotations
@@ -88,12 +88,17 @@ class DiscreteImmersion:
         np.add.at(weights, self.elements.ravel(), np.repeat(share, self.intrinsic_dim + 1))
         return weights
 
+    @functools.cached_property
+    def stiffness(self) -> sparse.csr_matrix:
+        """Laplace-Beltrami stiffness S of this vertex array (``laplace_beltrami``)."""
+        return laplace_beltrami(self)
+
     def with_vertices(self, vertices: np.ndarray) -> "DiscreteImmersion":
         """Same connectivity, new positions; shares ``topology`` with self but
         none of the arrays of self's vertex array."""
         expected = self.topology.num_vertices
         new = copy.copy(self)
-        for name in ("element_measures", "vertex_weights"):
+        for name in ("element_measures", "vertex_weights", "stiffness"):
             new.__dict__.pop(name, None)
         new.vertices = np.ascontiguousarray(vertices, dtype=float)
         _check_coordinates(new)
@@ -186,23 +191,53 @@ def _check_surface_edges(imm: DiscreteImmersion) -> None:
             raise InvalidImmersion("non-manifold edge")
 
 
+def _corner_edges(imm: DiscreteImmersion):
+    """Every triangle corner (i, j, k) and its edges u = x_j - x_i, v = x_k - x_i.
+
+    Corners run over (0, 1, 2), (1, 2, 0), (2, 0, 1) of each triangle; each of
+    the returned (i, j, k, u, v) has 3T rows, corner 0 of every triangle first.
+    """
+    x = imm.vertices
+    i, j, k = (np.roll(imm.elements, -corner, axis=1).T.ravel() for corner in range(3))
+    return i, j, k, x[j] - x[i], x[k] - x[i]
+
+
+def laplace_beltrami(imm: DiscreteImmersion) -> sparse.csr_matrix:
+    """Stiffness matrix S of the current metric; read it as ``imm.stiffness``.
+
+    Cotangent weights for surfaces, inverse segment lengths for curves.  With
+    the lumped mass M = ``imm.vertex_weights`` the operator is
+    Delta = M^{-1} (-S), and S is positive semidefinite.
+    """
+    nv = imm.num_vertices
+    if imm.intrinsic_dim == 1:
+        i, j = imm.elements[:, 0], imm.elements[:, 1]
+        w = 1.0 / imm.element_measures
+    else:
+        # the weight of edge jk is half the cotangent of the angle at i
+        _, i, j, u, v = _corner_edges(imm)
+        uv = np.einsum("ij,ij->i", u, v)
+        cross2 = np.einsum("ij,ij->i", u, u) * np.einsum("ij,ij->i", v, v) - uv ** 2
+        area2 = np.sqrt(np.clip(cross2, 0.0, None))
+        w = 0.5 * (uv / np.where(area2 > 0, area2, np.inf))
+    off = sparse.coo_matrix(
+        (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
+        shape=(nv, nv),
+    ).tocsr()
+    diag = np.asarray(off.sum(axis=1)).ravel()
+    return sparse.diags(diag) - off
+
+
 def angle_defects(imm: DiscreteImmersion) -> np.ndarray:
     """2*pi minus the incident triangle angles at each vertex (n=2 only)."""
     if imm.intrinsic_dim != 2:
         raise UnsupportedDimension("angle defect defined for n=2")
-    x = imm.vertices
-    tri = imm.elements
+    i, _, _, u, v = _corner_edges(imm)
+    cosang = np.einsum("ij,ij->i", u, v) / (
+        np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
+    )
     defect = np.full(imm.num_vertices, 2.0 * np.pi)
-    for corner in range(3):
-        i = tri[:, corner]
-        j = tri[:, (corner + 1) % 3]
-        k = tri[:, (corner + 2) % 3]
-        u = x[j] - x[i]
-        v = x[k] - x[i]
-        cosang = np.einsum("ij,ij->i", u, v) / (
-            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
-        )
-        np.subtract.at(defect, i, np.arccos(np.clip(cosang, -1.0, 1.0)))
+    np.subtract.at(defect, i, np.arccos(np.clip(cosang, -1.0, 1.0)))
     return defect
 
 

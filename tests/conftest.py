@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mcflow import mesh
 from mcflow.curvature import jet_forms
 from mcflow.mesh import MeshTopology
 from mcflow.scenes import clifford_torus, ellipsoid, icosphere
@@ -40,6 +41,20 @@ def topology_builds(monkeypatch):
 
     monkeypatch.setattr(MeshTopology, "__init__", counting_init)
     return builds
+
+
+@pytest.fixture
+def stiffness_assemblies(monkeypatch):
+    """List that grows by one entry (the vertex count) per stiffness assembled."""
+    assemblies = []
+    real_assembly = mesh.laplace_beltrami
+
+    def counting_assembly(imm):
+        assemblies.append(imm.num_vertices)
+        return real_assembly(imm)
+
+    monkeypatch.setattr(mesh, "laplace_beltrami", counting_assembly)
+    return assemblies
 
 
 @pytest.fixture(scope="session")

@@ -241,6 +241,21 @@ class TestBuildOnce:
         assert summary["roundness"]["pinch_ratio"] >= 0.0
         assert len(fits) == steps + 1
 
+    @pytest.mark.parametrize("snapshot_every", [0, 1])
+    @pytest.mark.parametrize("monitors", [{}, {"p": [1, 2, 4], "alpha": [4, 5]}])
+    def test_run_assembles_once_per_state(
+        self, tmp_path, snapshot_every, monitors, stiffness_assemblies
+    ):
+        steps = 3
+        cfg = config_from_dict(
+            minimal_config(
+                stop={"step_cap": steps}, snapshot_every=snapshot_every, monitors=monitors
+            )
+        )
+        assert runner.run(cfg, tmp_path / "out") == 0
+        # one per step, then the final estimator discrepancy
+        assert stiffness_assemblies == [162] * (steps + 1)
+
 
 class TestRun:
     def test_mesh_run_artifacts(self, tmp_path):

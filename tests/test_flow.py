@@ -10,7 +10,7 @@ from scipy.sparse.linalg import splu
 
 from conftest import random_rotation
 from mcflow.analytic import SphereProductScene, SphereScene
-from mcflow import flow
+from mcflow import flow, mesh
 from mcflow.curvature import jet_forms
 from mcflow.errors import (
     MaxStepsExceeded,
@@ -26,7 +26,6 @@ from mcflow.flow import (
     StopRule,
     TraceRecord,
     estimator_discrepancy,
-    laplace_beltrami,
     laplace_mean_curvature,
     redistribute,
     run_until,
@@ -132,7 +131,7 @@ class TestSemiImplicitStep:
         def broken_assembly(imm):
             raise TypeError("broken assembly")
 
-        monkeypatch.setattr(flow, "laplace_beltrami", broken_assembly)
+        monkeypatch.setattr(mesh, "laplace_beltrami", broken_assembly)
         with pytest.raises(TypeError, match="broken assembly"):
             step_semi_implicit(FlowState(immersion=icosphere(subdiv=1)), 1e-3)
 
@@ -163,7 +162,7 @@ class TestSemiImplicitStep:
 
 def _splu_step(imm, dt):
     """Reference backward-Euler vertices: one sparse LU, one solve per coordinate."""
-    mass, stiffness = laplace_beltrami(imm)
+    mass, stiffness = imm.vertex_weights, imm.stiffness
     solver = splu((sparse.diags(mass) + dt * stiffness).tocsc())
     return np.column_stack(
         [solver.solve(mass * imm.vertices[:, c]) for c in range(imm.ambient_dim)]
@@ -345,6 +344,17 @@ class TestRunUntil:
         run_until(FlowState(immersion=icosphere(subdiv=2)), cfg)
         assert len(computed) == steps + 1  # the initial immersion, then one per step
 
+    @pytest.mark.parametrize("scheme", ["semi_implicit", "explicit"])
+    @pytest.mark.parametrize(
+        "monitors", [None, MonitorParams(p_list=(1.0, 2.0, 4.0), alphas=(4.0, 5.0))]
+    )
+    def test_stiffness_assembled_once_per_step(self, scheme, monitors, stiffness_assemblies):
+        steps = 4
+        cfg = SchemeConfig(scheme=scheme, stop=StopRule(step_cap=steps))
+        trace = run_until(FlowState(immersion=icosphere(subdiv=2)), cfg, monitors)
+        assert len(trace.records) == steps + 1
+        assert stiffness_assemblies == [162] * steps  # the final state is never stepped
+
 
 class TestCurveFlow:
     def test_circle_shrinks_on_oracle(self):
@@ -366,6 +376,21 @@ class TestCurveFlow:
         trace = run_until(FlowState(immersion=imm), cfg)
         rec = trace.records[-1]
         assert rec.vol / (2 * math.pi) == pytest.approx(math.sqrt(1 - 2 * rec.t), rel=1e-2)
+
+    def test_explicit_run_is_bounded_by_the_mesh(self):
+        # cfl / max|A|^2 alone gives dt = 0.02 here, 16x the mesh bound h^2 / 2
+        imm = polygon_circle(segments=128, r0=1.0, ambient_dim=4)
+        cfg = SchemeConfig(
+            scheme="explicit", cfl=0.02, redistribute_every=0, stop=StopRule(t_end=0.375)
+        )
+        trace = run_until(FlowState(immersion=imm), cfg)
+        assert trace.stop_reason == "t_end"
+        lengths = [rec.vol for rec in trace.records]
+        exact = [2 * math.pi * math.sqrt(1 - 2 * rec.t) for rec in trace.records]
+        assert max(abs(a / b - 1) for a, b in zip(lengths, exact)) <= 5e-3
+        assert all(b <= a for a, b in zip(lengths, lengths[1:]))
+        h = imm.element_measures[0]
+        assert max(rec.dt for rec in trace.records) <= 0.5 * h ** 2 * (1 + 1e-12)
 
 
 class TestRedistribute:

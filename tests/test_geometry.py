@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from conftest import random_rotation
 from mcflow.curvature import (
@@ -267,6 +268,125 @@ class TestMeasureWeights:
         assert np.array_equal(doubled.vertex_weights, 4.0 * weights)
         assert np.array_equal(doubled.element_measures, 4.0 * measures)
         assert imm.vertex_weights is weights and imm.element_measures is measures
+
+
+def _coo_stiffness(imm):
+    """Reference cotangent stiffness: one COO assembly with a loop per corner."""
+    nv = imm.num_vertices
+    if imm.intrinsic_dim == 1:
+        i, j = imm.elements[:, 0], imm.elements[:, 1]
+        w = 1.0 / imm.element_measures
+    else:
+        x = imm.vertices
+        tri = imm.elements
+        rows, cols, vals = [], [], []
+        for corner in range(3):
+            a = tri[:, corner]
+            b = tri[:, (corner + 1) % 3]
+            c = tri[:, (corner + 2) % 3]
+            u = x[b] - x[a]
+            v = x[c] - x[a]
+            cross2 = np.einsum("ij,ij->i", u, u) * np.einsum("ij,ij->i", v, v) - (
+                np.einsum("ij,ij->i", u, v)
+            ) ** 2
+            area2 = np.sqrt(np.clip(cross2, 0.0, None))
+            cot = np.einsum("ij,ij->i", u, v) / np.where(area2 > 0, area2, np.inf)
+            rows.append(b)
+            cols.append(c)
+            vals.append(0.5 * cot)
+        i = np.concatenate(rows)
+        j = np.concatenate(cols)
+        w = np.concatenate(vals)
+    off = sparse.coo_matrix(
+        (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
+        shape=(nv, nv),
+    ).tocsr()
+    diag = np.asarray(off.sum(axis=1)).ravel()
+    return sparse.diags(diag) - off
+
+
+def _loop_angle_defects(imm):
+    """Reference angle defects: arccos of each corner from the edge norms."""
+    x = imm.vertices
+    tri = imm.elements
+    defect = np.full(imm.num_vertices, 2.0 * np.pi)
+    for corner in range(3):
+        i = tri[:, corner]
+        u = x[tri[:, (corner + 1) % 3]] - x[i]
+        v = x[tri[:, (corner + 2) % 3]] - x[i]
+        cosang = np.einsum("ij,ij->i", u, v) / (
+            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
+        )
+        np.subtract.at(defect, i, np.arccos(np.clip(cosang, -1.0, 1.0)))
+    return defect
+
+
+STIFFNESS_MESHES = {
+    "icosphere2_r5": lambda: embed_immersion(icosphere(subdiv=2), 5),
+    "ellipsoid_obtuse": lambda: ellipsoid([1.6, 1.0, 0.5], subdiv=2),
+    "grid_patch_open": lambda: grid_patch(jitter=0.3),
+    "clifford16": lambda: clifford_torus(1.0, 1.0, resolution=16),
+    "polygon64_r4": lambda: polygon_circle(segments=64, ambient_dim=4),
+}
+
+
+class TestStiffness:
+    @pytest.mark.parametrize("build", STIFFNESS_MESHES.values(), ids=STIFFNESS_MESHES.keys())
+    def test_matches_the_coo_assembly_bit_for_bit(self, build):
+        imm = build()
+        got, ref = imm.stiffness, _coo_stiffness(imm)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+
+    def test_ellipsoid_has_negative_edge_weights(self):
+        # obtuse opposite corners, so the bit-for-bit case above covers them
+        stiffness = STIFFNESS_MESHES["ellipsoid_obtuse"]().stiffness
+        assert (sparse.triu(stiffness, k=1).data > 0).any()
+
+    @pytest.mark.parametrize("build", STIFFNESS_MESHES.values(), ids=STIFFNESS_MESHES.keys())
+    def test_rows_sum_to_zero_with_a_positive_diagonal(self, build):
+        stiffness = build().stiffness
+        scale = stiffness.diagonal()
+        assert (scale > 0).all()
+        assert np.abs(np.asarray(stiffness.sum(axis=1)).ravel()).max() <= 1e-12 * scale.max()
+        assert abs(stiffness - stiffness.T).max() == 0.0
+
+    def test_curve_bound_is_half_the_squared_spacing(self):
+        imm = polygon_circle(segments=128)
+        h = imm.element_measures[0]
+        bound = imm.vertex_weights / imm.stiffness.diagonal()
+        assert np.allclose(bound, 0.5 * h ** 2, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: icosphere(subdiv=3),
+            lambda: icosphere(subdiv=4),
+            lambda: ellipsoid([1.2, 1.0, 0.9], subdiv=4),
+            lambda: clifford_torus(1.0, 1.0, resolution=64),
+            lambda: grid_patch(jitter=0.3),
+        ],
+        ids=["icosphere3", "icosphere4", "ellipsoid4", "clifford64", "grid_patch"],
+    )
+    def test_angle_defects_match_the_corner_loop(self, build):
+        imm = build()
+        assert np.abs(angle_defects(imm) - _loop_angle_defects(imm)).max() <= 1e-14
+
+    def test_copies_do_not_carry_the_stiffness(self):
+        imm = icosphere(subdiv=2)
+        stiffness = imm.stiffness
+        moved = imm.with_vertices(1.5 * imm.vertices)
+        turned = imm.transformed(rotation=random_rotation(3, seed=2))
+        for copy in (moved, turned):
+            assert "stiffness" not in vars(copy)
+            assert copy.stiffness is not stiffness
+        assert abs(moved.stiffness - stiffness).max() <= 1e-14  # cotangents are scale-free
+        assert imm.stiffness is stiffness
+
+    def test_assembled_once_per_vertex_array(self, stiffness_assemblies):
+        imm = icosphere(subdiv=1)
+        assert imm.stiffness is imm.stiffness
+        assert stiffness_assemblies == [42]
 
 
 class TestFrames:

@@ -6,7 +6,8 @@ as a value: its vertex array and elements are never changed in place, and
 caches on first use:
 
 - per connectivity, shared by every ``with_vertices`` copy: ``topology`` (the
-  edges and, per ring, the neighborhood index arrays);
+  edges, the triangle corners, the stiffness sparsity pattern and, per ring,
+  the neighborhood index arrays);
 - per vertex array, never carried over by ``with_vertices``:
   ``element_measures`` (computed by the degeneracy check), ``vertex_weights``
   (the lumped mass M) and ``stiffness`` (the Laplace-Beltrami stiffness S).
@@ -192,13 +193,10 @@ def _check_surface_edges(imm: DiscreteImmersion) -> None:
 
 
 def _corner_edges(imm: DiscreteImmersion):
-    """Every triangle corner (i, j, k) and its edges u = x_j - x_i, v = x_k - x_i.
-
-    Corners run over (0, 1, 2), (1, 2, 0), (2, 0, 1) of each triangle; each of
-    the returned (i, j, k, u, v) has 3T rows, corner 0 of every triangle first.
-    """
+    """Every triangle corner (i, j, k) of ``MeshTopology.corners`` and its
+    edges u = x_j - x_i, v = x_k - x_i."""
     x = imm.vertices
-    i, j, k = (np.roll(imm.elements, -corner, axis=1).T.ravel() for corner in range(3))
+    i, j, k = imm.topology.corners
     return i, j, k, x[j] - x[i], x[k] - x[i]
 
 
@@ -211,20 +209,22 @@ def laplace_beltrami(imm: DiscreteImmersion) -> sparse.csr_matrix:
     """
     nv = imm.num_vertices
     if imm.intrinsic_dim == 1:
-        i, j = imm.elements[:, 0], imm.elements[:, 1]
         w = 1.0 / imm.element_measures
     else:
         # the weight of edge jk is half the cotangent of the angle at i
-        _, i, j, u, v = _corner_edges(imm)
+        _, _, _, u, v = _corner_edges(imm)
         uv = np.einsum("ij,ij->i", u, v)
         cross2 = np.einsum("ij,ij->i", u, u) * np.einsum("ij,ij->i", v, v) - uv ** 2
         area2 = np.sqrt(np.clip(cross2, 0.0, None))
         w = 0.5 * (uv / np.where(area2 > 0, area2, np.inf))
-    off = sparse.coo_matrix(
-        (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
-        shape=(nv, nv),
-    ).tocsr()
-    diag = np.asarray(off.sum(axis=1)).ravel()
+    slot, indices, indptr = imm.topology.stiffness_pattern
+    # a slot collects at most two weights (an edge lies in at most two
+    # elements), and a sum of two floats does not depend on their order, so
+    # this equals the summed duplicates of a COO assembly bit for bit
+    data = np.bincount(slot, weights=np.concatenate([w, w]), minlength=len(indices))
+    off = sparse.csr_matrix((data, indices, indptr), shape=(nv, nv))
+    # the row sums of csr.sum(axis=1); every vertex has a neighbour
+    diag = np.add.reduceat(data, indptr[:-1])
     return sparse.diags(diag) - off
 
 
@@ -254,6 +254,38 @@ class MeshTopology:
         self.elements = imm.elements
         self.edges = np.unique(np.sort(_directed_edges(imm.elements), axis=1), axis=0)
         self._ring_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    @functools.cached_property
+    def corners(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Index arrays (i, j, k) of every triangle corner (n=2 only).
+
+        Corners run over (0, 1, 2), (1, 2, 0), (2, 0, 1) of each triangle;
+        each array has 3T rows, corner 0 of every triangle first.
+        """
+        if self.intrinsic_dim != 2:
+            raise UnsupportedDimension("corners defined for n=2")
+        return tuple(np.roll(self.elements, -c, axis=1).T.ravel() for c in range(3))
+
+    @functools.cached_property
+    def stiffness_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(slot, indices, indptr) of the off-diagonal stiffness in CSR form.
+
+        ``laplace_beltrami`` has one weight per segment, or per triangle
+        corner for the edge (j, k) opposite it, and enters it at (a, b) and
+        (b, a); ``slot`` is the position in the sorted CSR data of each of
+        those 2E or 6T entries, weights at (a, b) first.
+        """
+        if self.intrinsic_dim == 1:
+            a, b = self.elements[:, 0], self.elements[:, 1]
+        else:
+            _, a, b = self.corners
+        nv = self.num_vertices
+        keys = np.concatenate([a * nv + b, b * nv + a])
+        pairs, slot = np.unique(keys, return_inverse=True)
+        rows, indices = np.divmod(pairs, nv)
+        indptr = np.zeros(nv + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=nv), out=indptr[1:])
+        return slot, indices, indptr
 
     def ring_neighborhoods(self, ring: int) -> tuple[np.ndarray, np.ndarray]:
         """Padded (V, m) index array and boolean mask of ring-BFS neighborhoods.

@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy import sparse
+from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.linalg import splu
 
 from . import analytic
 from .curvature import (
@@ -32,9 +33,13 @@ from .mesh import DiscreteImmersion
 #: squared-curvature scale below which derivative fits are treated as noise
 GRADIENT_NOISE_FLOOR = 1e-2
 
-#: Dijkstra sources per call in graph_diameter; a block holds
-#: _SOURCE_BLOCK x V distances, which bounds the sweep's transient memory
-_SOURCE_BLOCK = 128
+#: farthest-point sweeps of geodesic_diameter
+_HEAT_SWEEPS = 4
+
+#: hops over which geodesic_diameter's heat step stays a normal double: per
+#: hop it falls by less than a factor e^0.97 at t = h^2, and by less than
+#: e^(h / sqrt(t)) at a larger t
+_HEAT_HOPS = 700
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -120,7 +125,7 @@ class StateView:
     def diameter(self) -> float:
         if self.forms is None:
             return float(self.body.diameter(self.t))
-        return graph_diameter(self.body)
+        return geodesic_diameter(self.body)
 
     @functools.cached_property
     def derivatives(self) -> DerivativeData:
@@ -146,60 +151,71 @@ def _digest(*parts) -> str:
     return hasher.hexdigest()[:16]
 
 
-def graph_diameter(imm: DiscreteImmersion) -> float:
-    """Geodesic diameter of the 1-skeleton; ``inf`` when it is disconnected.
+def geodesic_diameter(imm: DiscreteImmersion) -> float:
+    """Riemannian diameter by the heat method; ``inf`` when disconnected.
 
-    Equal, bit for bit, to the maximum of the all-pairs Dijkstra matrix, but
-    holds only ``_SOURCE_BLOCK`` of its rows at a time.  Each evaluated source
-    w bounds every eccentricity from above, ecc(v) <= ecc(w) + d(w, v)
-    (Takes & Kosters, CIKM 2011), and a vertex whose bound falls below the
-    largest eccentricity found so far is never run as a source.  The sweep
-    starts with a double sweep (vertex 0, then the vertex farthest from it)
-    and then runs the pending vertices with the largest bounds.
+    Crane, Weischedel & Wardetzky, "Geodesics in heat", ACM TOG 32(5), 2013:
+    from a source s, one backward-Euler heat step (M + tS) u = delta_s, with
+    t the squared mean edge length h^2, gives the unit field
+    X = -grad u / |grad u| on each element, and S phi = div X gives the
+    distance phi - phi_s.  The same code serves curves and surfaces in any
+    codimension: the hat-function gradients come from each element's edge
+    vectors and their Gram matrix.  ``_HEAT_SWEEPS`` sweeps, vertex 0 first
+    and then each time from the farthest vertex found, return the largest
+    distance: a lower estimate of the diameter of the heat distance.  Both
+    factors live only for the call.
+
+    Where two vertices may lie more than ``_HEAT_HOPS`` edges apart (long
+    curves), t grows with the square of that hop count, so that u does not
+    underflow to zero far from the source and leave X undefined there.
     """
-    edges = imm.topology.edges
-    lengths = np.linalg.norm(
-        imm.vertices[edges[:, 1]] - imm.vertices[edges[:, 0]], axis=1
-    )
     nv = imm.num_vertices
-    graph = csr_matrix((lengths, (edges[:, 0], edges[:, 1])), shape=(nv, nv))
-    # Dijkstra's distance to v is the float sum along some path of fewer than
-    # V edges, within a relative (V - 1) eps / 2 of the exact length.  Hence
-    # the computed ecc(v) exceeds the computed ecc(w) + d(w, v) by at most a
-    # relative (V - 1/2) eps, and the product with (1 + slack) loses about
-    # eps more: (1 + 2 V eps) covers both.  Twice that margin keeps the row
-    # that holds the largest computed distance from ever being dropped, so
-    # the result is that distance itself.
-    slack = 4.0 * nv * np.finfo(float).eps
-    upper = np.full(nv, np.inf)
-    pending = np.ones(nv, dtype=bool)
-    best = 0.0
-    block = np.zeros(1, dtype=np.int64)
-    runs = 0
-    while block.size:
-        # no name holds the rows, so a block is freed before the next one
-        ecc = _fold_rows(dijkstra(graph, directed=False, indices=block), upper)
-        if np.isinf(ecc).any():  # disconnected: the first row shows it
-            return math.inf
-        best = max(best, float(ecc.max()))
-        pending[block] = False
-        pending &= upper * (1.0 + slack) >= best
-        runs += 1
-        candidates = np.flatnonzero(pending)
-        order = np.argsort(-upper[candidates], kind="stable")
-        # after vertex 0, the largest bound ecc(0) + d(0, v) is at the vertex
-        # farthest from it: the first two one-source blocks are a double sweep
-        block = candidates[order[: 1 if runs < 2 else _SOURCE_BLOCK]]
+    edges = imm.topology.edges
+    adjacency = sparse.csr_matrix(
+        (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(nv, nv)
+    )
+    hops = shortest_path(adjacency, directed=False, unweighted=True, indices=0)
+    if np.isinf(hops).any():
+        return math.inf
+    x = imm.vertices
+    h = np.linalg.norm(x[edges[:, 1]] - x[edges[:, 0]], axis=1).mean()
+    # every pair of vertices is at most 2 ecc(0) hops apart
+    t = (h * max(1.0, 2.0 * hops.max() / _HEAT_HOPS)) ** 2
+    stiffness = imm.stiffness
+    heat = splu(sparse.csc_matrix(sparse.diags(imm.vertex_weights) + t * stiffness))
+    # phi is fixed up to a constant: pinning phi_0 = 0 leaves S positive definite
+    poisson = splu(sparse.csc_matrix(stiffness[1:, 1:]))
+
+    # gradients of the hat functions on each element: those of the vertices
+    # 1..n are the rows of G^-1 E, E the edge vectors from vertex 0 and G = E E^T
+    el = imm.elements
+    edge_vecs = x[el[:, 1:]] - x[el[:, :1]]
+    tail = np.linalg.solve(edge_vecs @ edge_vecs.transpose(0, 2, 1), edge_vecs)
+    grads = np.concatenate([-tail.sum(axis=1, keepdims=True), tail], axis=1)
+    weighted = grads * imm.element_measures[:, None, None]
+
+    best, source = 0.0, 0
+    for _ in range(_HEAT_SWEEPS):
+        delta = np.zeros(nv)
+        delta[source] = 1.0
+        u = heat.solve(delta)
+        grad_u = np.einsum("ead,ea->ed", grads, u[el])
+        # u decays geometrically with the hop count: rescale before squaring,
+        # or |grad u| underflows far from the source.  Then |grad u| >= 1
+        # unless u is level on the element, by symmetry (the far segment of a
+        # polygon with an odd count); X is zero there.
+        scale = np.abs(grad_u).max(axis=1, keepdims=True)
+        grad_u /= np.where(scale > 0.0, scale, 1.0)
+        field = -grad_u / np.maximum(np.linalg.norm(grad_u, axis=1, keepdims=True), 1.0)
+        div = np.bincount(
+            el.ravel(), weights=np.einsum("ead,ed->ea", weighted, field).ravel(), minlength=nv
+        )
+        phi = np.zeros(nv)
+        phi[1:] = poisson.solve(div[1:])
+        dist = phi - phi[source]
+        source = int(np.argmax(dist))
+        best = max(best, float(dist[source]))
     return best
-
-
-def _fold_rows(rows: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Eccentricities of a block of distance rows; lowers ``upper`` to
-    min over the block's sources w of ecc(w) + d(w, v)."""
-    ecc = rows.max(axis=1)
-    for e, row in zip(ecc, rows):
-        np.minimum(upper, row + e, out=upper)
-    return ecc
 
 
 def state_view(body, t: float = 0.0, ring: int = DEFAULT_RING) -> StateView:

@@ -325,6 +325,8 @@ STIFFNESS_MESHES = {
     "icosphere2_r5": lambda: embed_immersion(icosphere(subdiv=2), 5),
     "ellipsoid_obtuse": lambda: ellipsoid([1.6, 1.0, 0.5], subdiv=2),
     "grid_patch_open": lambda: grid_patch(jitter=0.3),
+    # right angles opposite every diagonal: zero weights, dropped from S
+    "grid_patch_right_angles": lambda: grid_patch(),
     "clifford16": lambda: clifford_torus(1.0, 1.0, resolution=16),
     "polygon64_r4": lambda: polygon_circle(segments=64, ambient_dim=4),
 }

@@ -34,7 +34,7 @@ from mcflow.monitors import (
     state_view,
 )
 from mcflow.flow import FlowState, MonitorParams, SchemeConfig, StopRule, run_until
-from mcflow.scenes import clifford_torus, icosphere, polygon_circle
+from mcflow.scenes import clifford_torus, ellipsoid, icosphere, polygon_circle
 
 
 def synthetic_sphere_trace(n=2, r0=1.0, steps=400, t_frac=0.9):
@@ -251,9 +251,32 @@ def _two_copies(imm, shift):
     )
 
 
+@pytest.fixture
+def heat_sources(monkeypatch):
+    """List that grows by the source of every heat solve in monitors."""
+    sources = []
+    real = monitors.splu
+
+    class Counting:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            hot = np.flatnonzero(rhs)
+            if len(hot) == 1 and rhs[hot[0]] == 1.0:
+                sources.append(int(hot[0]))
+            return self.lu.solve(rhs)
+
+    def factor(matrix, *args, **kwargs):
+        return Counting(real(matrix, *args, **kwargs))
+
+    monkeypatch.setattr(monitors, "splu", factor)
+    return sources
+
+
 class TestGraphDiameter:
-    """``geodesic_diameter`` against the Riemannian diameter; its memory; a
-    disconnected mesh."""
+    """``geodesic_diameter`` against the Riemannian diameter; its sources; its
+    memory; a disconnected mesh."""
 
     def test_gap_to_pi_shrinks_on_icospheres(self, icosphere4):
         meshes = [icosphere(subdiv=2), icosphere(subdiv=3), icosphere4, icosphere(subdiv=5)]
@@ -303,6 +326,14 @@ class TestGraphDiameter:
         length, h = imm.element_measures.sum(), imm.element_measures[0]
         got = geodesic_diameter(imm)
         assert 0.5 * (length - h) - 1e-12 <= got <= 0.5 * length
+
+    def test_prunes_most_sources_on_ellipsoid(self, heat_sources):
+        imm = ellipsoid([1.2, 1.0, 0.9], subdiv=4)
+        geodesic_diameter(imm)
+        # one heat solve per sweep, each from a new farthest vertex
+        assert heat_sources[0] == 0
+        assert len(heat_sources) == len(set(heat_sources))
+        assert len(heat_sources) < imm.num_vertices / 2
 
     def test_transient_memory_is_bounded(self, clifford64):
         clifford64.topology.edges

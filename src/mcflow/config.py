@@ -188,7 +188,6 @@ class RunConfig:
                 "scheme": self.scheme.scheme,
                 "cfl": self.scheme.cfl,
                 "redistribute_every": self.scheme.redistribute_every,
-                "ring": self.scheme.ring,
             },
             "stop": stop,
             "monitors": self.monitors.to_dict(),
@@ -224,7 +223,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         )
 
     scheme_raw = _section(
-        raw.get("scheme", {}), {"scheme", "cfl", "dt_max", "redistribute_every", "ring"}, "scheme"
+        raw.get("scheme", {}), {"scheme", "cfl", "dt_max", "redistribute_every"}, "scheme"
     )
 
     def scheme_num(key, default, integer=False):
@@ -236,7 +235,6 @@ def config_from_dict(raw: dict) -> RunConfig:
         dt_max=float(scheme_num("dt_max", math.inf)),
         redistribute_every=scheme_num("redistribute_every", 10 if n == 1 else 0, True),
         stop=stop,
-        ring=scheme_num("ring", 2, True),
     )
 
     mon_raw = _section(raw.get("monitors", {}), {"a", "b", "p", "alpha"}, "monitors")

@@ -33,7 +33,8 @@ CONDITION_LIMIT = 1e12
 #: condition number is this fraction of CONDITION_LIMIT or less
 _SCREEN_MARGIN = 0.5
 
-DEFAULT_RING = 2
+#: graph radius of the neighborhood stencil that both local fits read
+RING = 2
 
 #: (vertex, neighbor) pairs transported per block in derivative_data; blocks
 #: bound the transient memory and leave every pair's arithmetic unchanged
@@ -42,10 +43,24 @@ _PAIR_BLOCK = 4096
 
 @dataclass
 class FrameField:
-    """Per-vertex orthonormal frames: tangent (V, n, D) and normal (V, d, D)."""
+    """Per-vertex orthonormal frames and the ring-``RING`` stencil in them.
+
+    ``tangent`` (V, n, D) and ``normal`` (V, d, D) are the frames; ``idx`` and
+    ``mask`` (V, m) the padded ring neighborhoods, each vertex first.  The
+    neighbor offsets in the frames, ``u`` (V, m, n) and ``w`` (V, m, d), are
+    divided by the local length scale ``sigma`` (V,), the mean distance to the
+    other neighbors (keeps fits scale-covariant and well conditioned);
+    ``theta`` (V, m) are the Gaussian fit weights, zero on padding.
+    """
 
     tangent: np.ndarray
     normal: np.ndarray
+    idx: np.ndarray
+    mask: np.ndarray
+    u: np.ndarray
+    w: np.ndarray
+    theta: np.ndarray
+    sigma: np.ndarray
 
 
 @dataclass
@@ -89,21 +104,23 @@ def _fix_signs(basis: np.ndarray) -> np.ndarray:
     return (flat * signs[:, None]).reshape(basis.shape)
 
 
-def build_frames(imm: DiscreteImmersion, ring: int = DEFAULT_RING) -> FrameField:
-    """Tangent/normal frames from PCA of the centered ring neighborhoods."""
+def build_frames(imm: DiscreteImmersion) -> FrameField:
+    """Tangent/normal frames from PCA of the centered ring neighborhoods, and
+    the neighborhoods in those frames."""
     n = imm.intrinsic_dim
-    idx, mask = imm.topology.ring_neighborhoods(ring)
+    idx, mask = imm.topology.ring_neighborhoods(RING)
     counts = mask.sum(axis=1)
     if counts.min() < n + 1:
         raise NeighborhoodRankDeficient("neighborhood smaller than n+1 points")
 
     pts = imm.vertices[idx]
-    w = mask[:, :, None].astype(float)
-    mean = (pts * w).sum(axis=1) / counts[:, None]
-    centered = (pts - mean[:, None, :]) * w
+    inside = mask[:, :, None].astype(float)
+    mean = (pts * inside).sum(axis=1) / counts[:, None]
+    centered = (pts - mean[:, None, :]) * inside
     cov = np.swapaxes(centered, 1, 2) @ centered / counts[:, None, None]
 
     eigvals, eigvecs = np.linalg.eigh(cov)  # ascending
+    del inside, centered  # bound the peak: the stencil below is as large
     top = eigvals[:, -1]
     kth = eigvals[:, -n]
     deficient = kth <= 1e-13 * np.maximum(top, 1e-300)
@@ -113,11 +130,24 @@ def build_frames(imm: DiscreteImmersion, ring: int = DEFAULT_RING) -> FrameField
         )
 
     dim = imm.ambient_dim
-    tangent = np.swapaxes(eigvecs[:, :, dim - n :], 1, 2)[:, ::-1, :]
-    normal = np.swapaxes(eigvecs[:, :, : dim - n], 1, 2)[:, ::-1, :]
+    tangent = _fix_signs(np.swapaxes(eigvecs[:, :, dim - n :], 1, 2)[:, ::-1, :])
+    normal = _fix_signs(np.swapaxes(eigvecs[:, :, : dim - n], 1, 2)[:, ::-1, :])
+
+    delta = np.subtract(pts, imm.vertices[:, None, :], out=pts)  # the gather, reused
+    dist = np.linalg.norm(delta, axis=2)
+    others = mask.copy()
+    others[:, 0] = False  # exclude the center itself from the scale
+    sigma = (dist * others).sum(axis=1) / np.maximum(others.sum(axis=1), 1)
+    sigma = np.maximum(sigma, 1e-300)
     return FrameField(
-        tangent=np.ascontiguousarray(_fix_signs(tangent)),
-        normal=np.ascontiguousarray(_fix_signs(normal)),
+        tangent=tangent,
+        normal=normal,
+        idx=idx,
+        mask=mask,
+        u=delta @ np.swapaxes(tangent, 1, 2) / sigma[:, None, None],
+        w=delta @ np.swapaxes(normal, 1, 2) / sigma[:, None, None],
+        theta=np.exp(-((dist / sigma[:, None]) ** 2)) * mask,
+        sigma=sigma,
     )
 
 
@@ -132,21 +162,6 @@ def _quadratic_basis(u: np.ndarray, n: int) -> np.ndarray:
         for b in range(a + 1, n):
             cols.append(u[..., a] * u[..., b])
     return np.stack(cols, axis=-1)
-
-
-def _local_coordinates(imm, frames, idx, mask):
-    """Neighbor offsets in each vertex frame, nondimensionalized by the local
-    length scale sigma (keeps fits scale-covariant and well conditioned)."""
-    delta = imm.vertices[idx] - imm.vertices[:, None, :]
-    dist = np.linalg.norm(delta, axis=2)
-    others = mask.copy()
-    others[:, 0] = False  # exclude the center itself from the scale
-    sigma = (dist * others).sum(axis=1) / np.maximum(others.sum(axis=1), 1)
-    sigma = np.maximum(sigma, 1e-300)
-    u = delta @ np.swapaxes(frames.tangent, 1, 2) / sigma[:, None, None]
-    wcoord = delta @ np.swapaxes(frames.normal, 1, 2) / sigma[:, None, None]
-    theta = np.exp(-((dist / sigma[:, None]) ** 2)) * mask
-    return u, wcoord, theta, sigma
 
 
 def _ill_conditioned(gram: np.ndarray) -> np.ndarray:
@@ -202,9 +217,7 @@ def _weighted_lstsq(design, rhs, theta, what):
     return np.linalg.solve(gram, wd_t @ rhs)
 
 
-def second_fundamental_form(
-    imm: DiscreteImmersion, frames: FrameField, ring: int = DEFAULT_RING
-) -> FundamentalForms:
+def second_fundamental_form(imm: DiscreteImmersion, frames: FrameField) -> FundamentalForms:
     """Moving-least-squares quadratic fit of the normal graph at each vertex.
 
     The quadratic coefficient matrices are the h^alpha components; H is their
@@ -213,11 +226,8 @@ def second_fundamental_form(
     """
     n = imm.intrinsic_dim
     d = imm.codim
-    idx, mask = imm.topology.ring_neighborhoods(ring)
-    u, wcoord, theta, sigma = _local_coordinates(imm, frames, idx, mask)
-
-    design = _quadratic_basis(u, n)
-    coeffs = _weighted_lstsq(design, wcoord, theta, "jet fit")
+    design = _quadratic_basis(frames.u, n)
+    coeffs = _weighted_lstsq(design, frames.w, frames.theta, "jet fit")
 
     nv = imm.num_vertices
     h = np.zeros((nv, d, n, n))
@@ -229,7 +239,7 @@ def second_fundamental_form(
         for b in range(a + 1, n):
             h[:, :, a, b] = h[:, :, b, a] = coeffs[:, pos, :]
             pos += 1
-    h /= sigma[:, None, None, None]
+    h /= frames.sigma[:, None, None, None]
 
     trace = np.einsum("vkaa->vk", h)
     mean_curvature = np.einsum("vk,vkd->vd", trace, frames.normal)
@@ -293,10 +303,7 @@ def _minimal_rotation_transport(tan_v, nor_v, tan_j, nor_j):
 
 
 def derivative_data(
-    imm: DiscreteImmersion,
-    frames: FrameField,
-    forms: FundamentalForms,
-    ring: int = DEFAULT_RING,
+    imm: DiscreteImmersion, frames: FrameField, forms: FundamentalForms
 ) -> DerivativeData:
     """Least-squares estimate of the first covariant derivative of the form.
 
@@ -308,8 +315,7 @@ def derivative_data(
     n = imm.intrinsic_dim
     d = imm.codim
     nv = imm.num_vertices
-    idx, mask = imm.topology.ring_neighborhoods(ring)
-    u, _, theta, sigma = _local_coordinates(imm, frames, idx, mask)
+    idx, mask, sigma = frames.idx, frames.mask, frames.sigma
     width = idx.shape[1]
 
     # transported components, flattened over (alpha, i<=j)
@@ -331,9 +337,9 @@ def derivative_data(
         rhs[v, m_i] = hj[:, :, rows, cols].reshape(-1, ncomp)
 
     # affine model in normalized coordinates; slope recovers the derivative
-    design = np.concatenate([np.ones((nv, width, 1)), u], axis=2)
+    design = np.concatenate([np.ones((nv, width, 1)), frames.u], axis=2)
     rhs_scaled = rhs * sigma[:, None, None]
-    coeffs = _weighted_lstsq(design, rhs_scaled, theta, "derivative fit")
+    coeffs = _weighted_lstsq(design, rhs_scaled, frames.theta, "derivative fit")
     slopes = coeffs[:, 1:, :] / (sigma ** 2)[:, None, None]
 
     h_k = np.zeros((nv, d, n, n, n))
@@ -374,9 +380,7 @@ def gauss_residual(imm: DiscreteImmersion, forms: FundamentalForms) -> np.ndarra
     return intrinsic - extrinsic
 
 
-def jet_forms(
-    imm: DiscreteImmersion, ring: int = DEFAULT_RING
-) -> tuple[FrameField, FundamentalForms]:
+def jet_forms(imm: DiscreteImmersion) -> tuple[FrameField, FundamentalForms]:
     """Convenience pipeline: frames then second fundamental form."""
-    frames = build_frames(imm, ring=ring)
-    return frames, second_fundamental_form(imm, frames, ring=ring)
+    frames = build_frames(imm)
+    return frames, second_fundamental_form(imm, frames)

@@ -19,7 +19,7 @@ from scipy import sparse
 from scipy.interpolate import CubicSpline
 from scipy.sparse.linalg import splu
 
-from .curvature import DEFAULT_RING, jet_forms
+from .curvature import jet_forms
 from .errors import (
     MaxStepsExceeded,
     McflowError,
@@ -70,7 +70,6 @@ class SchemeConfig:
     dt_max: float = math.inf
     redistribute_every: int = 0
     stop: StopRule = field(default_factory=lambda: StopRule(step_cap=100))
-    ring: int = DEFAULT_RING
     max_steps: int = 100_000
 
     def __post_init__(self):
@@ -84,8 +83,6 @@ class SchemeConfig:
             raise ValidationError("dt_max must be positive", field="dt_max")
         if self.redistribute_every < 0:
             raise ValidationError("redistribute_every must be >= 0", field="redistribute_every")
-        if self.ring < 1:
-            raise ValidationError("ring must be >= 1", field="ring")
 
 
 #: Jacobi-PCG of the implicit step: a column stops once its residual has
@@ -162,12 +159,7 @@ def estimator_discrepancy(imm, forms) -> float:
 # ---------------------------------------------------------------------------
 # steps
 
-def step_explicit(
-    state: FlowState,
-    dt: float,
-    h_field: np.ndarray | None = None,
-    ring: int = DEFAULT_RING,
-) -> FlowState:
+def step_explicit(state: FlowState, dt: float, h_field: np.ndarray | None = None) -> FlowState:
     """Forward Euler: move vertices by dt * H.
 
     ``h_field`` defaults to the jet-fit H; pass ``laplace_mean_curvature``
@@ -175,7 +167,7 @@ def step_explicit(
     """
     imm = state.immersion
     if h_field is None:
-        _, forms = jet_forms(imm, ring=ring)
+        _, forms = jet_forms(imm)
         h_field = forms.mean_curvature
     try:
         new = imm.with_vertices(imm.vertices + dt * h_field)
@@ -335,7 +327,7 @@ def run_until(
         snapshots.append(Snapshot(st.step_index, st.t, st.immersion, view.scalars()))
 
     def observe(st: FlowState, dt: float):
-        view = state_view(st.immersion, st.t, cfg.ring)
+        view = state_view(st.immersion, st.t)
         aring = np.sqrt(np.clip(view.aring2, 0.0, None))
         habs = np.sqrt(np.clip(view.h2, 0.0, None))
         integrals = {}
@@ -400,6 +392,7 @@ def run_until(
         else:
             dt = min(dt, 0.5 * (body.collapse_time - state.t))  # never step past collapse
             state = FlowState(body, state.t + dt, state.step_index + 1)
+        del view  # the old fit and its stencil need not outlive the step
         view = observe(state, dt)
 
     if snapshot_every and (not snapshots or snapshots[-1].step != state.step_index):

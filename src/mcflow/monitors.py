@@ -20,7 +20,6 @@ from scipy.sparse.linalg import splu
 
 from . import analytic
 from .curvature import (
-    DEFAULT_RING,
     DerivativeData,
     FrameField,
     FundamentalForms,
@@ -112,7 +111,6 @@ class StateView:
     vol: float
     frames: FrameField | None = None
     forms: FundamentalForms | None = None
-    ring: int = DEFAULT_RING
     digest: str = ""
 
     def __post_init__(self):
@@ -134,7 +132,7 @@ class StateView:
             zero = np.zeros(1)
             h_k = np.zeros((1, *self.body.form_components(self.t).shape, self.n))
             return DerivativeData(h_k=h_k, grad_a2=zero, grad_h2=zero, grad_aring2=zero)
-        return derivative_data(self.body, self.frames, self.forms, ring=self.ring)
+        return derivative_data(self.body, self.frames, self.forms)
 
     def scalars(self) -> dict:
         """Per-vertex snapshot columns."""
@@ -218,13 +216,13 @@ def geodesic_diameter(imm: DiscreteImmersion) -> float:
     return best
 
 
-def state_view(body, t: float = 0.0, ring: int = DEFAULT_RING) -> StateView:
+def state_view(body, t: float = 0.0) -> StateView:
     """Curvature view of a mesh (jet-fitted once) or of an exact scene at time t.
 
-    ``t`` is read only by exact scenes; ``ring`` only by meshes.
+    ``t`` is read only by exact scenes.
     """
     if isinstance(body, DiscreteImmersion):
-        frames, forms = jet_forms(body, ring=ring)
+        frames, forms = jet_forms(body)
         a2, h2, aring2 = forms.a2, forms.h2, forms.aring2
         weights = body.vertex_weights
     else:
@@ -243,7 +241,6 @@ def state_view(body, t: float = 0.0, ring: int = DEFAULT_RING) -> StateView:
         vol=float(weights.sum()),
         frames=frames,
         forms=forms,
-        ring=ring,
     )
 
 

@@ -65,18 +65,14 @@ def parabolic_rescale(
     return RescaledState(immersion=rescaled, lam=lam, center=center, source_t=t)
 
 
-def roundness_metrics(
-    imm: DiscreteImmersion,
-    forms: FundamentalForms | None = None,
-    center: np.ndarray | None = None,
-) -> dict:
+def roundness_metrics(imm: DiscreteImmersion, forms: FundamentalForms | None = None) -> dict:
     """Distance-to-round-sphere summary of one immersion.
 
     ``pinch_ratio`` is the worst pointwise |Aring|^2/|H|^2 (scale invariant,
     zero exactly on round spheres), ``radial_cv`` the coefficient of
-    variation of the centered radii, and ``hausdorff_to_unit_sphere`` the
-    deviation from the unit sphere inside the best-fit (n+1)-plane plus the
-    out-of-plane residual.
+    variation of the radii about the weighted centroid, and
+    ``hausdorff_to_unit_sphere`` the deviation from the unit sphere inside the
+    best-fit (n+1)-plane plus the out-of-plane residual.
     """
     if forms is None:
         _, forms = jet_forms(imm)
@@ -84,10 +80,7 @@ def roundness_metrics(
         raise ZeroMeanCurvature("mean curvature vanishes at some vertex")
     pinch = float((forms.aring2 / forms.h2).max())
 
-    weights = imm.vertex_weights
-    if center is None:
-        center = (weights[:, None] * imm.vertices).sum(axis=0) / weights.sum()
-    rel = imm.vertices - center
+    rel = imm.vertices - weighted_centroid(imm)
     radii = np.linalg.norm(rel, axis=1)
     radial_cv = float(radii.std() / radii.mean())
 

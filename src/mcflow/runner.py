@@ -29,6 +29,7 @@ from .curvature import (
 )
 from .errors import (
     McflowError,
+    ParseError,
     UnknownQuantity,
     ValidationError,
 )
@@ -203,9 +204,19 @@ def _final_reports(config: RunConfig, trace: FlowTrace):
 # trace directory helpers
 
 def read_trace_records(trace_dir) -> list[TraceRecord]:
+    """The records of ``trace.ndjson``; a line that is no record raises ParseError."""
     path = os.path.join(str(trace_dir), "trace.ndjson")
+    records = []
     with open(path) as fh:
-        return [TraceRecord.from_json_dict(json.loads(line)) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                records.append(TraceRecord.from_json_dict(json.loads(line)))
+            except (ValueError, TypeError, KeyError, AttributeError) as exc:
+                message = f"{path}:{lineno}: not a trace record: {exc}"
+                raise ParseError(message, line=lineno) from None
+    return records
 
 
 def load_trace(trace_dir) -> FlowTrace:
@@ -277,6 +288,8 @@ def emit_plotdata(trace_dir, quantities, out_dir=None) -> str:
     if not quantities:
         raise ValidationError("empty quantity list", field="vars")
     records = read_trace_records(trace_dir)
+    if not records:
+        raise ValidationError("trace has no records", field="trace")
 
     def column(name):
         if name in ("t", "dt", "vol", "h2_max", "h2_min", "a2_max"):

@@ -13,9 +13,20 @@ from mcflow.analytic import SphereScene, spacetime_h_norm_closed_form
 from mcflow.config import config_from_dict, load_config, parse_scene
 from mcflow.errors import ParseError, UnknownQuantity, ValidationError
 from mcflow.flow import FlowTrace
-from mcflow.mesh import write_snapshot
+from mcflow.mesh import DiscreteImmersion, write_snapshot
 from mcflow.monitors import VIOLATED
 from mcflow.scenes import icosphere
+
+
+def _tetrahedron_run(tmp_path, out):
+    """Exit code of a run on a tetrahedron: every stencil holds 4 points, too
+    few for the 6 coefficients of the jet fit, so the first fit fails."""
+    verts = np.array([[1.0, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+    faces = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]])
+    snap = tmp_path / "tetra.csv"
+    write_snapshot(DiscreteImmersion(verts, faces, 2), snap)
+    raw = {"scene": {"kind": "mesh_file", "path": str(snap)}, "stop": {"step_cap": 3}}
+    return runner.run(config_from_dict(raw), out)
 
 
 def minimal_config(**overrides):
@@ -117,7 +128,7 @@ CONFIG_MISTAKES = {
     "t_end_string": _small_run(stop={"t_end": "x"}),
     "alpha_string": _small_run(monitors={"alpha": "x"}),
     "p_below_one": _small_run(monitors={"p": [0.5]}),
-    "ring_zero": _small_run(scheme={"ring": 0}),
+    "scheme_ring_unknown": _small_run(scheme={"ring": 2}),
     "mode_of_two_numbers": _small_run({**GON, "perturbation": {"modes": [[2, 0]]}}),
     "scene_string": _small_run("abc"),
     "t_end_nan": _small_run(stop={"t_end": math.nan}),
@@ -337,21 +348,8 @@ class TestRun:
         }
 
     def test_numerical_failure_exit_code(self, tmp_path):
-        # ring-1 stencils on a tetrahedron underdetermine the jet fit
-        verts = np.array([[1.0, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
-        faces = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]])
-        from mcflow.mesh import DiscreteImmersion
-
-        snap = tmp_path / "tetra.csv"
-        write_snapshot(DiscreteImmersion(verts, faces, 2), snap)
-        raw = {
-            "scene": {"kind": "mesh_file", "path": str(snap)},
-            "stop": {"step_cap": 3},
-            "scheme": {"ring": 1},
-        }
         out = tmp_path / "run4"
-        code = runner.run(config_from_dict(raw), out)
-        assert code == 3
+        assert _tetrahedron_run(tmp_path, out) == 3
         manifest = json.loads((out / "MANIFEST.json").read_text())
         assert manifest["status"] == "failed"
         assert "FitUnderdetermined" in manifest["error"]
@@ -485,6 +483,42 @@ def test_rescale_of_a_truncated_snapshot_exits_4(r5_trace_dir, tmp_path, capsys)
     assert err.startswith("config error") and snap.name in err
     assert "Traceback" not in err
     assert not (run / "rescaled").exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["plot", "--vars", "t,vol"], ["rescale"]], ids=["plot", "rescale"]
+)
+@pytest.mark.parametrize(
+    "edit", [lambda line: line[: len(line) // 2], lambda line: "[1, 2]\n"], ids=["cut", "list"]
+)
+def test_malformed_trace_line_exits_4(r5_trace_dir, tmp_path, capsys, argv, edit):
+    run = tmp_path / "run"
+    shutil.copytree(r5_trace_dir, run)
+    trace = run / "trace.ndjson"
+    lines = trace.read_text().splitlines(keepends=True)
+    trace.write_text("".join(lines[:-1]) + edit(lines[-1]))
+    assert cli.main([argv[0], "--trace", str(run), *argv[1:]]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"trace.ndjson:{len(lines)}:" in err
+    assert not (run / "plots").exists() and not (run / "rescaled").exists()
+
+
+@pytest.fixture(scope="module")
+def failed_run_dir(tmp_path_factory):
+    """A run whose first jet fit failed: its trace holds no record."""
+    tmp = tmp_path_factory.mktemp("tetra")
+    assert _tetrahedron_run(tmp, tmp / "run") == 3
+    assert (tmp / "run" / "trace.ndjson").read_text() == ""
+    return tmp / "run"
+
+
+@pytest.mark.parametrize("quantity", ["st_integral", "aring_2"])
+def test_plot_of_an_empty_trace_exits_4(failed_run_dir, tmp_path, capsys, quantity):
+    out = tmp_path / "plots"
+    argv = ["plot", "--trace", str(failed_run_dir), "--vars", quantity, "--out", str(out)]
+    assert cli.main(argv) == 4
+    assert capsys.readouterr().err == "config error: trace has no records\n"
+    assert not out.exists()
 
 
 class TestCliEntry:

@@ -10,10 +10,9 @@ from scipy import sparse
 from conftest import random_rotation
 from mcflow.curvature import (
     CONDITION_LIMIT,
-    DEFAULT_RING,
+    RING,
     _fix_signs,
     _ill_conditioned,
-    _local_coordinates,
     _minimal_rotation_transport,
     _quadratic_basis,
     _weighted_lstsq,
@@ -475,16 +474,16 @@ class TestSecondFundamentalForm:
         _, forms = jet_forms(imm)
         assert np.abs(forms.h2 - 0.25).max() < 1e-3
 
-    def test_underdetermined_small_ring(self):
-        # ring-1 neighborhood of a tetrahedron: 4 points < 6 coefficients
+    def test_underdetermined_tetrahedron(self):
+        # every stencil of a tetrahedron is all 4 vertices: 4 points < 6 coefficients
         verts = np.array(
             [[1.0, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
         )
         faces = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]])
         imm = DiscreteImmersion(vertices=verts, elements=faces, intrinsic_dim=2)
-        frames = build_frames(imm, ring=1)
+        frames = build_frames(imm)
         with pytest.raises(FitUnderdetermined):
-            second_fundamental_form(imm, frames, ring=1)
+            second_fundamental_form(imm, frames)
 
 
 class TestTracefree:
@@ -625,11 +624,19 @@ def _per_pair_transport(tan_v, nor_v, tan_j, nor_j):
     return tan_v @ rot @ tan_j.T, nor_v @ rot @ nor_j.T
 
 
-def _per_pair_derivative_data(imm, frames, forms, ring=2):
-    """Reference derivative fit that transports one (vertex, neighbor) pair at a time."""
+def _per_pair_derivative_data(imm, frames, forms):
+    """Reference derivative fit that transports one (vertex, neighbor) pair at a
+    time, on a stencil it builds itself rather than the one the frames carry."""
     n, d, nv = imm.intrinsic_dim, imm.codim, imm.num_vertices
-    idx, mask = imm.topology.ring_neighborhoods(ring)
-    u, _, theta, sigma = _local_coordinates(imm, frames, idx, mask)
+    idx, mask = imm.topology.ring_neighborhoods(RING)
+    delta = imm.vertices[idx] - imm.vertices[:, None, :]
+    dist = np.linalg.norm(delta, axis=2)
+    others = mask.copy()
+    others[:, 0] = False
+    sigma = (dist * others).sum(axis=1) / np.maximum(others.sum(axis=1), 1)
+    sigma = np.maximum(sigma, 1e-300)
+    u = delta @ np.swapaxes(frames.tangent, 1, 2) / sigma[:, None, None]
+    theta = np.exp(-((dist / sigma[:, None]) ** 2)) * mask
     width = idx.shape[1]
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     rhs = np.zeros((nv, width, d * len(pairs)))
@@ -718,7 +725,6 @@ class TestBatchedTransport:
 
     def test_transient_memory_is_bounded(self, clifford64, clifford64_forms):
         _, frames, forms = clifford64_forms
-        clifford64.topology.ring_neighborhoods(DEFAULT_RING)
         tracemalloc.start()
         try:
             derivative_data(clifford64, frames, forms)
@@ -728,11 +734,11 @@ class TestBatchedTransport:
         assert peak <= 32e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
-def _einsum_jet_forms(imm, ring=DEFAULT_RING):
+def _einsum_jet_forms(imm):
     """Reference jet fit with stacked einsum contractions and an all-vertex
     eigvalsh conditioning check."""
     n, dim = imm.intrinsic_dim, imm.ambient_dim
-    idx, mask = imm.topology.ring_neighborhoods(ring)
+    idx, mask = imm.topology.ring_neighborhoods(RING)
     counts = mask.sum(axis=1)
     pts = imm.vertices[idx]
     w = mask[:, :, None].astype(float)

@@ -6,7 +6,6 @@ from .analytic import (
     ZonalFunction,
     hoffman_spruck_constant,
     sobolev_check_zonal,
-    spacetime_h_norm_closed_form,
     unit_ball_volume,
     unit_sphere_area,
 )

@@ -40,12 +40,12 @@ def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-def _recurrence_tables(max_n: int = 16):
+def _recurrence_tables():
     # A_1 = 2*pi, A_2 = 4*pi, A_n = 2*pi*A_{n-2}/(n-1); omega_n = A_{n-1}/n.
     area = {0: 2.0, 1: 2.0 * math.pi, 2: 4.0 * math.pi}
-    for n in range(3, max_n + 1):
+    for n in range(3, 17):
         area[n] = 2.0 * math.pi * area[n - 2] / (n - 1)
-    ball = {n: area[n - 1] / n for n in range(1, max_n + 1)}
+    ball = {n: area[n - 1] / n for n in range(1, 17)}
     return area, ball
 
 
@@ -144,11 +144,12 @@ class SphereScene:
 
     def oracle_record(self, t: float) -> dict:
         """Closed-form state at time t as a JSON-ready record."""
+        alpha = self.n + 2.0
         return {
             "kind": "sphere",
             "t": t,
             **asdict(self.state(t)),
-            "spacetime_norm_n_plus_2": spacetime_h_norm_closed_form(self, self.n + 2.0, t),
+            "spacetime_norm_n_plus_2": self.spacetime_integral(alpha, t) ** (1.0 / alpha),
         }
 
 
@@ -260,11 +261,6 @@ class SphereProductState:
     T: float
 
 
-def spacetime_h_norm_closed_form(scene: SphereScene, alpha: float, t_end: float) -> float:
-    """Spacetime L^alpha norm of |H| on the shrinking sphere up to t_end."""
-    return scene.spacetime_integral(alpha, t_end) ** (1.0 / alpha)
-
-
 def hoffman_spruck_constant(n: int, alpha: float, b_real: bool = True) -> float:
     """Explicit submanifold Sobolev constant C(n, alpha).
 
@@ -323,8 +319,8 @@ class ZonalFunction:
         )
         return -np.sin(theta) * dp
 
-    def min_sampled(self, samples: int = 10_000) -> float:
-        theta = np.linspace(0.0, math.pi, samples)
+    def min_sampled(self) -> float:
+        theta = np.linspace(0.0, math.pi, 10_000)
         return float(self.value(theta).min())
 
 
@@ -349,7 +345,6 @@ def zonal_integral(fn, scene: SphereScene, t: float, order: int = 64) -> float:
 
 @dataclass(frozen=True)
 class SobolevReport:
-    which: str
     lhs: float
     rhs: float
     holds: bool
@@ -367,7 +362,7 @@ _CALIBRATION_FUNCTIONS = (
 
 
 @lru_cache(maxsize=16)
-def calibrated_sobolev_constant(n: int, order: int = 96) -> float:
+def calibrated_sobolev_constant(n: int) -> float:
     """Smallest constant that closes the n>=3 Sobolev bound on the built-in
     battery of zonal functions and radii; informational default only."""
     if n < 3:
@@ -377,23 +372,30 @@ def calibrated_sobolev_constant(n: int, order: int = 96) -> float:
         scene = SphereScene(n=n, r0=r)
         for coeffs in _CALIBRATION_FUNCTIONS:
             v = ZonalFunction(coeffs)
-            lhs, base = _curvature_weighted_sides(scene, 0.0, v, order)
+            lhs, base = _curvature_weighted_sides(scene, 0.0, v, 96)
             if base > 0:
                 worst = max(worst, lhs / base)
     return worst
+
+
+def _sobolev_integrals(scene, t, v, order):
+    """(lp, grad2, l2): the integrals of |v|^{2n/(n-2)}, |grad v|^2 and v^2."""
+    n = scene.n
+    r = scene.state(t).r
+    exponent = 2.0 * n / (n - 2.0)
+    lp = zonal_integral(lambda th: np.abs(v(th)) ** exponent, scene, t, order)
+    grad2 = zonal_integral(lambda th: (v.theta_derivative(th) / r) ** 2, scene, t, order)
+    l2 = zonal_integral(lambda th: v(th) ** 2, scene, t, order)
+    return lp, grad2, l2
 
 
 def _curvature_weighted_sides(scene, t, v, order):
     # returns (lhs, rhs-without-constant)
     n = scene.n
     st = scene.state(t)
-    exponent = 2.0 * n / (n - 2.0)
-    lp = zonal_integral(lambda th: np.abs(v(th)) ** exponent, scene, t, order)
-    lhs = lp ** ((n - 2.0) / n)
-    grad2 = zonal_integral(lambda th: (v.theta_derivative(th) / st.r) ** 2, scene, t, order)
+    lp, grad2, l2 = _sobolev_integrals(scene, t, v, order)
     hterm = st.h2 ** ((n + 2.0) / 2.0) * st.vol
-    l2 = zonal_integral(lambda th: v(th) ** 2, scene, t, order)
-    return lhs, grad2 + hterm * l2
+    return lp ** ((n - 2.0) / n), grad2 + hterm * l2
 
 
 def sobolev_check_zonal(
@@ -402,7 +404,6 @@ def sobolev_check_zonal(
     v: ZonalFunction,
     which: str,
     s: float | None = None,
-    hs_alpha: float | None = None,
     c_n: float | None = None,
     order: int = 64,
 ) -> SobolevReport:
@@ -423,7 +424,7 @@ def sobolev_check_zonal(
         constant = calibrated_sobolev_constant(n) if c_n is None else float(c_n)
         lhs, base = _curvature_weighted_sides(scene, t, v, order)
         rhs = constant * base
-        return SobolevReport("curvature_weighted", lhs, rhs, lhs <= rhs * (1 + 1e-12), constant)
+        return SobolevReport(lhs, rhs, lhs <= rhs * (1 + 1e-12), constant)
 
     if which == "gradient_lower_bound":
         if n < 3:
@@ -431,16 +432,11 @@ def sobolev_check_zonal(
         if s is None or s <= 0:
             raise ValidationError("gradient_lower_bound requires s > 0", field="s")
         constant = hoffman_spruck_constant(n, n / (n + 1.0), b_real=True)
-        lhs = zonal_integral(
-            lambda th: (v.theta_derivative(th) / st.r) ** 2, scene, t, order
-        )
-        exponent = 2.0 * n / (n - 2.0)
-        lp = zonal_integral(lambda th: np.abs(v(th)) ** exponent, scene, t, order)
-        l2 = zonal_integral(lambda th: v(th) ** 2, scene, t, order)
+        lp, lhs, l2 = _sobolev_integrals(scene, t, v, order)
         h0sq = st.h2  # |H| is constant on the sphere
         bracket = lp ** ((n - 2.0) / n) / constant ** 2 - h0sq * (1.0 + 1.0 / s) * l2
         rhs = (n - 2.0) ** 2 / (4.0 * (n - 1.0) ** 2 * (1.0 + s)) * bracket
-        return SobolevReport("gradient_lower_bound", lhs, rhs, lhs >= rhs - abs(rhs) * 1e-12, constant)
+        return SobolevReport(lhs, rhs, lhs >= rhs - abs(rhs) * 1e-12, constant)
 
     if which == "hoffman_spruck":
         if n < 2:
@@ -448,8 +444,7 @@ def sobolev_check_zonal(
         scale = max(abs(v.value(0.0)), 1.0)
         if v.min_sampled() < -1e-12 * scale:
             raise NegativeTestFunction("hoffman_spruck requires a nonnegative test function")
-        alpha = n / (n + 1.0) if hs_alpha is None else float(hs_alpha)
-        constant = hoffman_spruck_constant(n, alpha, b_real=False)
+        constant = hoffman_spruck_constant(n, n / (n + 1.0), b_real=False)
         lp = zonal_integral(
             lambda th: np.abs(v(th)) ** (n / (n - 1.0)), scene, t, order
         )
@@ -461,6 +456,6 @@ def sobolev_check_zonal(
             t,
             order,
         )
-        return SobolevReport("hoffman_spruck", lhs, rhs, lhs <= rhs * (1 + 1e-12), constant)
+        return SobolevReport(lhs, rhs, lhs <= rhs * (1 + 1e-12), constant)
 
     raise ValidationError(f"unknown checker {which!r}", field="which")

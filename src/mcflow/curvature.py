@@ -242,25 +242,23 @@ def second_fundamental_form(imm: DiscreteImmersion, frames: FrameField) -> Funda
     h /= frames.sigma[:, None, None, None]
 
     trace = np.einsum("vkaa->vk", h)
-    mean_curvature = np.einsum("vk,vkd->vd", trace, frames.normal)
-    return tracefree_decompose(
-        FundamentalForms(
-            h=h, mean_curvature=mean_curvature, aring=None, a2=None, h2=None, aring2=None
-        )
-    )
+    return tracefree_decompose(h, np.einsum("vk,vkd->vd", trace, frames.normal))
 
 
-def tracefree_decompose(forms: FundamentalForms) -> FundamentalForms:
-    """New forms with the tracefree part aring = h - (trace/n) * identity."""
-    n = forms.h.shape[2]
-    trace = np.einsum("vkaa->vk", forms.h)
-    aring = forms.h - trace[:, :, None, None] * np.eye(n) / n
+def tracefree_decompose(
+    h: np.ndarray, mean_curvature: np.ndarray | None = None
+) -> FundamentalForms:
+    """Forms of the components h (V, d, n, n), with the tracefree part
+    aring = h - (trace/n) * identity and the squared norms."""
+    n = h.shape[2]
+    trace = np.einsum("vkaa->vk", h)
+    aring = h - trace[:, :, None, None] * np.eye(n) / n
     return FundamentalForms(
-        h=forms.h,
-        mean_curvature=forms.mean_curvature,
+        h=h,
+        mean_curvature=mean_curvature,
         aring=aring,
         aring2=np.einsum("vkab,vkab->v", aring, aring),
-        a2=np.einsum("vkab,vkab->v", forms.h, forms.h),
+        a2=np.einsum("vkab,vkab->v", h, h),
         h2=np.einsum("vk,vk->v", trace, trace),
     )
 

@@ -262,7 +262,7 @@ def redistribute(imm: DiscreteImmersion) -> DiscreteImmersion:
     if not imm.closed:
         raise ValidationError("redistribution requires a closed curve", field="closed")
     vertices = imm.vertices.copy()
-    for cycle in imm.topology.cycles():
+    for cycle in imm.topology.cycles:
         pts = imm.vertices[cycle]
         closed_pts = np.vstack([pts, pts[:1]])
         seg = np.linalg.norm(np.diff(closed_pts, axis=0), axis=1)

@@ -6,8 +6,8 @@ as a value: its vertex array and elements are never changed in place, and
 caches on first use:
 
 - per connectivity, shared by every ``with_vertices`` copy: ``topology`` (the
-  edges, the triangle corners, the stiffness sparsity pattern and, per ring,
-  the neighborhood index arrays);
+  edges, the triangle corners, the curve cycles, the stiffness sparsity
+  pattern and, per ring, the neighborhood index arrays);
 - per vertex array, never carried over by ``with_vertices``:
   ``element_measures`` (computed by the degeneracy check), ``vertex_weights``
   (the lumped mass M) and ``stiffness`` (the Laplace-Beltrami stiffness S).
@@ -322,6 +322,7 @@ class MeshTopology:
         self._ring_cache[ring] = (idx, mask)
         return idx, mask
 
+    @functools.cached_property
     def cycles(self) -> list[np.ndarray]:
         """Ordered vertex cycles of a closed curve (n=1 only)."""
         if self.intrinsic_dim != 1:

@@ -98,26 +98,31 @@ class StateView:
     Mesh states carry one entry per vertex; analytic states are homogeneous,
     so a single entry with the total volume as weight represents them.
     ``frames`` and ``forms`` are a mesh's jet fit (None for an exact scene);
-    the diameter and the covariant derivatives are computed on first use.
+    the volume, the digest, the diameter and the covariant derivatives are
+    computed on first use.
     """
 
     body: object  # the DiscreteImmersion or exact scene in view
     t: float
-    n: int
     a2: np.ndarray
     h2: np.ndarray
     aring2: np.ndarray
     weights: np.ndarray
-    vol: float
     frames: FrameField | None = None
     forms: FundamentalForms | None = None
-    digest: str = ""
 
-    def __post_init__(self):
-        if not self.digest:
-            self.digest = _digest(
-                self.n, self.a2, self.h2, self.aring2, self.weights, self.vol
-            )
+    @property
+    def n(self) -> int:
+        return self.body.intrinsic_dim
+
+    @functools.cached_property
+    def vol(self) -> float:
+        return float(self.weights.sum())
+
+    @functools.cached_property
+    def digest(self) -> str:
+        """Hash of the fields the reports read; ties each report to its state."""
+        return _digest(self.n, self.a2, self.h2, self.aring2, self.weights, self.vol)
 
     @functools.cached_property
     def diameter(self) -> float:
@@ -233,12 +238,10 @@ def state_view(body, t: float = 0.0) -> StateView:
     return StateView(
         body=body,
         t=t,
-        n=body.intrinsic_dim,
         a2=a2,
         h2=h2,
         aring2=aring2,
         weights=weights,
-        vol=float(weights.sum()),
         frames=frames,
         forms=forms,
     )

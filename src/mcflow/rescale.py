@@ -18,8 +18,6 @@ class RescaledState:
 
     immersion: DiscreteImmersion
     lam: float
-    center: np.ndarray
-    source_t: float
 
 
 def weighted_centroid(imm: DiscreteImmersion) -> np.ndarray:
@@ -40,15 +38,11 @@ def estimate_center(trace) -> dict:
     center = centroids[-1]
     drift = max(float(np.linalg.norm(c - center)) for c in centroids)
     last = trace.snapshots[-1]
-    h2 = last.scalars.get("H2")
-    peak_distance = None
-    if h2 is not None:
-        peak_vertex = last.immersion.vertices[int(np.argmax(h2))]
-        peak_distance = float(np.linalg.norm(peak_vertex - center))
+    peak_vertex = last.immersion.vertices[int(np.argmax(last.scalars["H2"]))]
     return {
         "center": center,
         "drift": drift,
-        "distance_to_h2_peak": peak_distance,
+        "distance_to_h2_peak": float(np.linalg.norm(peak_vertex - center)),
     }
 
 
@@ -60,9 +54,8 @@ def parabolic_rescale(
         raise PastSingularity(f"t={t} is not before T_hat={T_hat}")
     n = imm.intrinsic_dim
     lam = math.sqrt(2.0 * n * (T_hat - t))
-    center = np.asarray(center, dtype=float)
-    rescaled = imm.with_vertices((imm.vertices - center) / lam)
-    return RescaledState(immersion=rescaled, lam=lam, center=center, source_t=t)
+    rescaled = imm.with_vertices((imm.vertices - np.asarray(center, dtype=float)) / lam)
+    return RescaledState(immersion=rescaled, lam=lam)
 
 
 def roundness_metrics(imm: DiscreteImmersion, forms: FundamentalForms | None = None) -> dict:

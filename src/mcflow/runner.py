@@ -20,13 +20,8 @@ import numpy as np
 import scipy
 
 from . import analytic, rescale as rsc, scenes
-from .config import RunConfig, SceneSpec
-from .curvature import (
-    FundamentalForms,
-    codazzi_residual,
-    gauss_residual,
-    tracefree_decompose,
-)
+from .config import RunConfig, SceneSpec, _parse_json
+from .curvature import codazzi_residual, gauss_residual, tracefree_decompose
 from .errors import (
     McflowError,
     ParseError,
@@ -190,10 +185,10 @@ def _final_reports(config: RunConfig, trace: FlowTrace):
             state = rsc.parabolic_rescale(
                 last.immersion, last.t, center_info["center"], blowup["T_hat_stabilized"]
             )
-            # the pinch ratio is invariant under the rescaling, so the last
-            # snapshot, when it is the final state, reuses the final fit
-            forms = view.forms if last.immersion is view.body else None
-            summary["roundness"] = rsc.roundness_metrics(state.immersion, forms)
+            # the pinch ratio is invariant under the rescaling, and run_until
+            # ends every run that takes snapshots with one of its final
+            # state, so the last snapshot reuses the final fit
+            summary["roundness"] = rsc.roundness_metrics(state.immersion, view.forms)
             summary["subspace"] = rsc.subspace_dimension(state.immersion.vertices)
 
     summary["verdicts"] = {r.name: r.verdict for r in reports}
@@ -219,33 +214,57 @@ def read_trace_records(trace_dir) -> list[TraceRecord]:
     return records
 
 
+def _read_json(path: str):
+    with open(path) as fh:
+        return _parse_json(fh.read(), f"JSON in {path}")
+
+
+def _lookup(obj, path: str, *keys):
+    """``obj[k0][k1]...``; a missing key raises ParseError naming ``path``."""
+    for key in keys:
+        if not isinstance(obj, dict) or key not in obj:
+            raise ParseError(f"{path}: no {'.'.join(keys)} entry")
+        obj = obj[key]
+    return obj
+
+
 def load_trace(trace_dir) -> FlowTrace:
-    """Records plus snapshots of a finished run directory."""
+    """Records plus snapshots of a finished run directory.
+
+    A MANIFEST or snapshot index that does not parse, lacks a key or holds
+    an entry of the wrong shape raises ParseError naming the file.
+    """
     trace_dir = str(trace_dir)
     records = read_trace_records(trace_dir)
     manifest_path = os.path.join(trace_dir, "MANIFEST.json")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = _read_json(manifest_path)
+    status = _lookup(manifest, manifest_path, "status")
     snapshots = []
     index_path = os.path.join(trace_dir, "snapshots", "index.json")
     if os.path.exists(index_path):
-        with open(index_path) as fh:
-            index = json.load(fh)
+        index = _read_json(index_path)
+        if not isinstance(index, list):
+            raise ParseError(f"{index_path}: not a list of snapshots")
         for entry in index:
-            imm, scalars = read_snapshot(os.path.join(trace_dir, "snapshots", entry["file"]))
+            fields = [_lookup(entry, index_path, key) for key in ("step", "t", "file")]
+            if not all(map(isinstance, fields, (int, (int, float), str))):
+                raise ParseError(f"{index_path}: not a snapshot entry: {entry!r}")
+            step, t, name = fields
+            imm, scalars = read_snapshot(os.path.join(trace_dir, "snapshots", name))
             if snapshots and np.array_equal(imm.elements, snapshots[0].immersion.elements):
                 imm = snapshots[0].immersion.with_vertices(imm.vertices)  # share one topology
-            snapshots.append(Snapshot(entry["step"], entry["t"], imm, scalars))
+            snapshots.append(Snapshot(step, t, imm, scalars))
     if snapshots:
         # the sidecars give n, so a mesh_file run never re-reads its source mesh
         n = snapshots[0].immersion.intrinsic_dim
     else:
-        n = SceneSpec.from_dict(manifest["config"]["scene"]).body.intrinsic_dim
+        scene = _lookup(manifest, manifest_path, "config", "scene")
+        n = SceneSpec.from_dict(scene).body.intrinsic_dim
     return FlowTrace(
         records=records,
         snapshots=snapshots,
         final_state=None,
-        status=manifest["status"],
+        status=status,
         stop_reason="",
         intrinsic_dim=n,
     )
@@ -339,9 +358,7 @@ def _identity_reports(name: str, body) -> list[MonitorReport]:
     if forms is None:
         # the exact scene as one homogeneous point of the same field layout
         h = body.form_components(0.0)[None]
-        forms = tracefree_decompose(
-            FundamentalForms(h=h, mean_curvature=None, aring=None, a2=None, h2=None, aring2=None)
-        )
+        forms = tracefree_decompose(h)
         gauss = 0.0
     else:
         gauss = float(np.abs(gauss_residual(body, forms)).mean())

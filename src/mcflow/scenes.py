@@ -79,17 +79,14 @@ def icosphere(
     return DiscreteImmersion(vertices=verts, elements=faces, intrinsic_dim=2)
 
 
-def ellipsoid(
-    semi_axes, subdiv: int = 3, center=None, ambient_dim: int = 3, subspace=None
-) -> DiscreteImmersion:
-    """Icosphere stretched to the given semi-axes."""
+def ellipsoid(semi_axes, subdiv: int = 3) -> DiscreteImmersion:
+    """Icosphere in R^3 stretched to the given semi-axes; ``embed_immersion``
+    maps it into a larger ambient space."""
     axes = np.asarray(semi_axes, dtype=float)
     if axes.shape != (3,) or not (axes > 0).all():
         raise ValidationError("semi_axes must be three positive lengths", field="semi_axes")
     verts, faces = unit_sphere_mesh(subdiv)
-    verts = verts * axes
-    verts = _embed(verts, ambient_dim, subspace, center)
-    return DiscreteImmersion(vertices=verts, elements=faces, intrinsic_dim=2)
+    return DiscreteImmersion(vertices=verts * axes, elements=faces, intrinsic_dim=2)
 
 
 def polygon_circle(
@@ -204,8 +201,8 @@ def real_spherical_harmonic(degree: int, order: int, theta, phi):
     return math.sqrt(2.0) * (-1.0) ** m * np.imag(y)
 
 
-def perturb_radially(imm: DiscreteImmersion, modes, center=None) -> DiscreteImmersion:
-    """Scale each vertex radius by 1 + sum of harmonic modes.
+def perturb_radially(imm: DiscreteImmersion, modes) -> DiscreteImmersion:
+    """Scale each vertex radius about the origin by 1 + sum of harmonic modes.
 
     ``modes`` is a list of (degree, order, amplitude); Fourier modes on
     curves (order ignored sign: cos for order >= 0, sin otherwise).
@@ -216,20 +213,15 @@ def perturb_radially(imm: DiscreteImmersion, modes, center=None) -> DiscreteImme
         raise ValidationError(
             "perturbation amplitude must stay below 0.3 of the radius", field="modes"
         )
-    x = imm.vertices.copy()
-    c = np.zeros(imm.ambient_dim) if center is None else np.asarray(center, dtype=float)
-    rel = x - c
-    radii = np.linalg.norm(rel, axis=1)
+    x = imm.vertices
+    # polar/azimuthal angles from the first three embedding coordinates
+    phi = np.arctan2(x[:, 1], x[:, 0])
+    factor = np.ones(imm.num_vertices)
     if imm.intrinsic_dim == 2:
-        # polar/azimuthal angles from the first three embedding coordinates
-        theta = np.arccos(np.clip(rel[:, 2] / radii, -1.0, 1.0))
-        phi = np.arctan2(rel[:, 1], rel[:, 0])
-        factor = np.ones_like(radii)
+        theta = np.arccos(np.clip(x[:, 2] / np.linalg.norm(x, axis=1), -1.0, 1.0))
         for degree, order, amp in modes:
             factor += amp * real_spherical_harmonic(int(degree), int(order), theta, phi)
     else:
-        phi = np.arctan2(rel[:, 1], rel[:, 0])
-        factor = np.ones_like(radii)
         for degree, order, amp in modes:
             factor += amp * (np.cos(degree * phi) if order >= 0 else np.sin(degree * phi))
-    return imm.with_vertices(c + rel * factor[:, None])
+    return imm.with_vertices(x * factor[:, None])

@@ -13,7 +13,6 @@ from mcflow.analytic import (
     calibrated_sobolev_constant,
     hoffman_spruck_constant,
     sobolev_check_zonal,
-    spacetime_h_norm_closed_form,
     unit_ball_volume,
     unit_sphere_area,
     zonal_integral,
@@ -177,14 +176,14 @@ class TestSceneFormComponents:
 class TestSpacetimeNorm:
     def test_zero_at_zero(self):
         scene = SphereScene(n=2, r0=1.0)
-        assert spacetime_h_norm_closed_form(scene, 4.0, 0.0) == 0.0
+        assert scene.spacetime_integral(4.0, 0.0) ** (1.0 / 4.0) == 0.0
 
     def test_three_sphere_log_slice(self):
         # alpha = n+2 = 5, t_end with log(T/(T-t)) = 1
         scene = SphereScene(n=3, r0=1.0)
         t_end = scene.collapse_time * (1 - math.exp(-1))
         expected = (81.0 * 2.0 * math.pi ** 2 / 2.0) ** 0.2
-        assert spacetime_h_norm_closed_form(scene, 5.0, t_end) == pytest.approx(
+        assert scene.spacetime_integral(5.0, t_end) ** (1.0 / 5.0) == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -220,8 +219,8 @@ class TestSpacetimeNorm:
         scene = SphereScene(n=3, r0=1.0)
         alpha = 5.0 + alpha_off
         lo, hi = sorted([frac1, frac2])
-        a = spacetime_h_norm_closed_form(scene, alpha, lo * scene.collapse_time)
-        b = spacetime_h_norm_closed_form(scene, alpha, hi * scene.collapse_time)
+        a = scene.spacetime_integral(alpha, lo * scene.collapse_time) ** (1.0 / alpha)
+        b = scene.spacetime_integral(alpha, hi * scene.collapse_time) ** (1.0 / alpha)
         assert b > a
 
 

@@ -9,7 +9,7 @@ import pytest
 import scipy
 
 from mcflow import cli, config as config_mod, curvature, runner
-from mcflow.analytic import SphereScene, spacetime_h_norm_closed_form
+from mcflow.analytic import SphereScene
 from mcflow.config import config_from_dict, load_config, parse_scene
 from mcflow.errors import ParseError, UnknownQuantity, ValidationError
 from mcflow.flow import FlowTrace
@@ -303,7 +303,7 @@ class TestRun:
             assert rec.vol == pytest.approx(st.vol, rel=1e-13)
             assert rec.h2_max == pytest.approx(st.h2, rel=1e-13)
             assert rec.st_integral_alpha[4.0] == pytest.approx(
-                spacetime_h_norm_closed_form(scene, 4.0, rec.t) ** 4
+                (scene.spacetime_integral(4.0, rec.t) ** (1.0 / 4.0)) ** 4
                 if rec.t > 0
                 else 0.0,
                 rel=1e-12,
@@ -501,6 +501,41 @@ def test_malformed_trace_line_exits_4(r5_trace_dir, tmp_path, capsys, argv, edit
     err = capsys.readouterr().err
     assert err.startswith("config error") and f"trace.ndjson:{len(lines)}:" in err
     assert not (run / "plots").exists() and not (run / "rescaled").exists()
+
+
+def _cut(path, size):
+    path.write_bytes(path.read_bytes()[:size])
+
+
+RUN_DIR_DAMAGE = {
+    # (source run, damage, file the message names)
+    "manifest_cut": ("r5", lambda run: _cut(run / "MANIFEST.json", 100), "MANIFEST.json"),
+    "index_cut": ("r5", lambda run: _cut(run / "snapshots" / "index.json", 50), "index.json"),
+    "index_entry_list": (
+        "r5",
+        lambda run: (run / "snapshots" / "index.json").write_text("[[0, 0.0]]"),
+        "index.json",
+    ),
+    "manifest_without_config": (
+        "analytic",
+        lambda run: (run / "MANIFEST.json").write_text('{"status": "complete"}'),
+        "MANIFEST.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("source,damage,named", RUN_DIR_DAMAGE.values(), ids=RUN_DIR_DAMAGE.keys())
+def test_rescale_of_a_damaged_run_directory_exits_4(
+    r5_trace_dir, trace_dir, tmp_path, capsys, source, damage, named
+):
+    run = tmp_path / "run"
+    shutil.copytree(r5_trace_dir if source == "r5" else trace_dir, run)
+    damage(run)
+    assert cli.main(["rescale", "--trace", str(run)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert named in err
+    assert not (run / "rescaled").exists()
 
 
 @pytest.fixture(scope="module")

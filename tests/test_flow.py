@@ -10,7 +10,7 @@ from scipy.sparse.linalg import splu
 
 from conftest import random_rotation
 from mcflow.analytic import SphereProductScene, SphereScene
-from mcflow import flow, mesh
+from mcflow import flow, mesh, monitors
 from mcflow.curvature import jet_forms
 from mcflow.errors import (
     MaxStepsExceeded,
@@ -33,6 +33,7 @@ from mcflow.flow import (
     step_semi_implicit,
 )
 from mcflow.mesh import DiscreteImmersion
+from mcflow.monitors import pinching_linear
 from mcflow.rescale import roundness_metrics
 from mcflow.scenes import (
     clifford_torus,
@@ -230,6 +231,25 @@ class TestRunUntil:
         assert trace.stop_reason == "step_cap"
         assert len(trace.records) == 8  # initial sample + 7 accepted steps
 
+    def test_no_digest_is_computed_while_stepping(self, monkeypatch):
+        real = monitors._digest
+        calls = []
+
+        def counting(*parts):
+            calls.append(parts)
+            return real(*parts)
+
+        monkeypatch.setattr(monitors, "_digest", counting)
+        cfg = SchemeConfig(stop=StopRule(step_cap=5))
+        trace = run_until(FlowState(immersion=icosphere(subdiv=2)), cfg, snapshot_every=1)
+        assert len(trace.records) == 6 and calls == []
+        # a report hashes the final state once, from the same parts as before
+        view = trace.final_view
+        digest = real(2, view.a2, view.h2, view.aring2, view.weights, float(view.weights.sum()))
+        assert pinching_linear(view, 1.0).digest == digest
+        assert pinching_linear(view, 2.0).digest == digest
+        assert len(calls) == 1
+
     def test_vol_strictly_decreasing(self, icosphere4):
         cfg = SchemeConfig(stop=StopRule(step_cap=20))
         trace = run_until(FlowState(immersion=icosphere4), cfg)
@@ -361,6 +381,48 @@ class TestRunUntil:
         trace = run_until(FlowState(immersion=icosphere(subdiv=2)), cfg, monitors)
         assert len(trace.records) == steps + 1
         assert stiffness_assemblies == [162] * steps  # the final state is never stepped
+
+
+def _nan_from_the_third_solve(monkeypatch):
+    real, solves = flow._pcg, []
+
+    def failing(system, x, r):
+        solves.append(1)
+        return real(system, x, r) if len(solves) < 3 else np.full_like(x, np.nan)
+
+    monkeypatch.setattr(flow, "_pcg", failing)
+
+
+LAST_SNAPSHOT_CASES = {
+    # (immersion, scheme, snapshot_every, patch)
+    "step_cap": (lambda: icosphere(subdiv=2), {"stop": StopRule(step_cap=3)}, 2, None),
+    "singular": (
+        lambda: icosphere(subdiv=2),
+        {"stop": StopRule(step_cap=10)},
+        3,
+        _nan_from_the_third_solve,
+    ),
+    "redistributed_curve": (
+        lambda: polygon_circle(segments=32),
+        {"stop": StopRule(step_cap=4), "redistribute_every": 2},
+        3,
+        None,
+    ),
+    "last_step_on_the_grid": (lambda: icosphere(subdiv=2), {"stop": StopRule(step_cap=4)}, 2, None),
+}
+
+
+@pytest.mark.parametrize(
+    "build,scheme,every,patch", LAST_SNAPSHOT_CASES.values(), ids=LAST_SNAPSHOT_CASES.keys()
+)
+def test_last_snapshot_is_the_final_state(monkeypatch, build, scheme, every, patch):
+    if patch is not None:
+        patch(monkeypatch)
+    trace = run_until(FlowState(immersion=build()), SchemeConfig(**scheme), snapshot_every=every)
+    assert trace.status == ("singular" if patch else "stopped")
+    assert trace.snapshots[-1].step == trace.final_state.step_index
+    # the final reports read the last snapshot's fit from the final view
+    assert trace.snapshots[-1].immersion is trace.final_view.body
 
 
 class TestCurveFlow:

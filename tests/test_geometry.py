@@ -24,7 +24,6 @@ from mcflow.curvature import (
     second_fundamental_form,
     tracefree_decompose,
 )
-from mcflow.curvature import FundamentalForms
 from mcflow.errors import (
     DegenerateElement,
     FitIllConditioned,
@@ -492,15 +491,7 @@ class TestTracefree:
         # discretization noise only; exact umbilic forms give exactly zero
         h = np.zeros((5, 1, 2, 2))
         h[:, 0] = np.eye(2) * np.linspace(0.5, 2.0, 5)[:, None, None]
-        umbilic = FundamentalForms(
-            h=h,
-            mean_curvature=np.zeros((5, 3)),
-            aring=np.zeros_like(h),
-            a2=np.zeros(5),
-            h2=np.zeros(5),
-            aring2=np.zeros(5),
-        )
-        out = tracefree_decompose(umbilic)
+        out = tracefree_decompose(h)
         assert np.abs(out.aring).max() == 0.0
 
     @settings(max_examples=30, deadline=None)
@@ -509,15 +500,7 @@ class TestTracefree:
         rng = np.random.default_rng(seed)
         h = rng.standard_normal((4, d, n, n))
         h = 0.5 * (h + np.swapaxes(h, 2, 3))
-        forms = FundamentalForms(
-            h=h,
-            mean_curvature=np.zeros((4, n + d)),
-            aring=np.zeros_like(h),
-            a2=np.zeros(4),
-            h2=np.zeros(4),
-            aring2=np.zeros(4),
-        )
-        out = tracefree_decompose(forms)
+        out = tracefree_decompose(h)
         traces = np.einsum("vkaa->vk", out.aring)
         scale = np.sqrt(out.a2).max() + 1e-30
         assert np.abs(traces).max() <= 1e-12 * max(scale, 1.0)
@@ -776,15 +759,7 @@ def _einsum_jet_forms(imm):
             pos += 1
     h /= sigma[:, None, None, None]
     trace = np.einsum("vkaa->vk", h)
-    forms = FundamentalForms(
-        h=h,
-        mean_curvature=np.einsum("vk,vkd->vd", trace, normal),
-        aring=None,
-        a2=None,
-        h2=None,
-        aring2=None,
-    )
-    return tracefree_decompose(forms)
+    return tracefree_decompose(h, np.einsum("vk,vkd->vd", trace, normal))
 
 
 def _eigvalsh_flags(gram):

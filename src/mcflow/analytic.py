@@ -13,7 +13,6 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import (
     NegativeTestFunction,
@@ -134,13 +133,12 @@ class SphereScene:
         area = unit_sphere_area(n)
         if alpha == n + 2:
             return (n ** (n + 1) * area / 2.0) * math.log(T / (T - t_end))
-
-        def integrand(t):
-            r = math.sqrt(self.r0 ** 2 - 2.0 * n * t)
-            return n ** alpha * area * r ** (n - alpha)
-
-        value, _ = integrate.quad(integrand, 0.0, t_end, limit=200)
-        return value
+        # |H| = n/r with r^2 = r0^2 - 2ns, so with k = n - alpha + 2 the
+        # integral of n^alpha |S^n| r^(n - alpha) ds is
+        # n^(alpha-1) |S^n| (r0^k - r^k)/k; expm1 keeps it accurate as k -> 0
+        k = n - alpha + 2.0
+        r = math.sqrt(self.r0 ** 2 - 2.0 * n * t_end)
+        return n ** (alpha - 1) * area * r ** k * math.expm1(k * math.log(self.r0 / r)) / k
 
     def oracle_record(self, t: float) -> dict:
         """Closed-form state at time t as a JSON-ready record."""
@@ -329,6 +327,8 @@ def _zonal_rule(order: int, n: int):
     # Gauss rule in x = cos(theta) absorbing the sin^{n-1} measure, i.e.
     # Gauss-Jacobi with weight (1-x^2)^{(n-2)/2}; exact for polynomial
     # integrands, spectrally accurate otherwise.
+    from scipy import special
+
     exponent = (n - 2) / 2.0
     x, w = special.roots_jacobi(order, exponent, exponent)
     theta = np.arccos(np.clip(x, -1.0, 1.0))

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.interpolate import CubicSpline
-from scipy.sparse.linalg import splu
 
 from .curvature import jet_forms
 from .errors import (
@@ -229,6 +227,8 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
     tens to hundreds of iterations, as dt/h^2 is large on a finely sampled
     curve.
     """
+    from scipy.sparse.linalg import splu
+
     imm = state.immersion
     try:
         mass, stiffness = imm.vertex_weights, imm.stiffness
@@ -257,6 +257,8 @@ def redistribute(imm: DiscreteImmersion) -> DiscreteImmersion:
     pins the total chord length, which otherwise drifts at the resampling
     order.
     """
+    from scipy.interpolate import CubicSpline
+
     if imm.intrinsic_dim != 1:
         raise UnsupportedDimension("redistribution implemented for curves only")
     if not imm.closed:

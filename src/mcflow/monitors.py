@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import shortest_path
-from scipy.sparse.linalg import splu
 
 from . import analytic
 from .curvature import (
@@ -172,6 +170,9 @@ def geodesic_diameter(imm: DiscreteImmersion) -> float:
     curves), t grows with the square of that hop count, so that u does not
     underflow to zero far from the source and leave X undefined there.
     """
+    from scipy.sparse.csgraph import shortest_path
+    from scipy.sparse.linalg import splu
+
     nv = imm.num_vertices
     edges = imm.topology.edges
     adjacency = sparse.csr_matrix(

@@ -78,7 +78,7 @@ def roundness_metrics(imm: DiscreteImmersion, forms: FundamentalForms | None = N
     radial_cv = float(radii.std() / radii.mean())
 
     k = imm.intrinsic_dim + 1
-    _, _, vt = np.linalg.svd(rel, full_matrices=True)
+    _, _, vt = np.linalg.svd(rel, full_matrices=False)
     inplane = rel @ vt[:k].T
     out = rel - inplane @ vt[:k]
     hausdorff = float(

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import ValidationError
 from .mesh import DiscreteImmersion
@@ -189,6 +188,8 @@ def embed_immersion(
 
 def real_spherical_harmonic(degree: int, order: int, theta, phi):
     """Real-valued Y_lm on S^2 (theta polar, phi azimuthal)."""
+    from scipy import special
+
     m = abs(order)
     try:
         y = special.sph_harm_y(degree, m, theta, phi)

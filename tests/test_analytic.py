@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from mcflow import analytic
 from mcflow.analytic import (
@@ -187,8 +188,23 @@ class TestSpacetimeNorm:
             expected, rel=1e-12
         )
 
+    @pytest.mark.parametrize("r0", [0.7, 1.0, 1.6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_closed_form_matches_quadrature(self, n, r0):
+        scene = SphereScene(n=n, r0=r0)
+        area = unit_sphere_area(n)
+        for alpha in (1.0, 2.0, 3.5, n + 1.0, n + 2.0, n + 2.5, n + 6.0):
+
+            def integrand(t):
+                return n ** alpha * area * math.sqrt(r0 ** 2 - 2.0 * n * t) ** (n - alpha)
+
+            for frac in (0.1, 0.5, 0.9, 0.99):
+                t_end = frac * scene.collapse_time
+                quad, _ = integrate.quad(integrand, 0.0, t_end, limit=200)
+                assert scene.spacetime_integral(alpha, t_end) == pytest.approx(quad, rel=1e-12)
+
     def test_quadrature_route_matches_log_formula(self):
-        # the generic quadrature path evaluated just off alpha = n+2
+        # the closed form (expm1 route) evaluated just off alpha = n+2
         scene = SphereScene(n=2, r0=1.3)
         t_end = 0.7 * scene.collapse_time
         exact = scene.spacetime_integral(4.0, t_end)

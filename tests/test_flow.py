@@ -147,7 +147,7 @@ class TestSemiImplicitStep:
         def singular_factor(system):
             raise RuntimeError("Factor is exactly singular")
 
-        monkeypatch.setattr(flow, "splu", singular_factor)
+        monkeypatch.setattr("scipy.sparse.linalg.splu", singular_factor)
         with pytest.raises(SolverFailure, match="implicit solve failed: Factor is exactly"):
             step_semi_implicit(FlowState(immersion=polygon_circle(segments=16)), 1e-3)
 

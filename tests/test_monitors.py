@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -255,7 +256,7 @@ def _two_copies(imm, shift):
 def heat_sources(monkeypatch):
     """List that grows by the source of every heat solve in monitors."""
     sources = []
-    real = monitors.splu
+    real = scipy.sparse.linalg.splu
 
     class Counting:
         def __init__(self, lu):
@@ -270,7 +271,7 @@ def heat_sources(monkeypatch):
     def factor(matrix, *args, **kwargs):
         return Counting(real(matrix, *args, **kwargs))
 
-    monkeypatch.setattr(monitors, "splu", factor)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", factor)
     return sources
 
 

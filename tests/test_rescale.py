@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,19 @@ class TestRoundness:
         _, _, forms = clifford64_forms
         metrics = roundness_metrics(clifford64, forms)
         assert metrics["pinch_ratio"] == pytest.approx(0.5, abs=5e-2)
+
+    def test_memory_stays_linear_in_vertices(self):
+        # a full SVD of the (V, 3) offsets would hold a V x V factor: 839 MB here
+        sphere = icosphere(subdiv=5)
+        _, forms = jet_forms(sphere)
+        tracemalloc.start()
+        try:
+            metrics = roundness_metrics(sphere, forms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2 ** 20
+        assert metrics["hausdorff_to_unit_sphere"] <= 1e-6
 
     def test_zero_mean_curvature_guard(self):
         verts = np.column_stack([np.linspace(0, 1, 9), np.zeros(9)])

@@ -301,46 +301,69 @@ class ZonalFunction:
             raise ValidationError(
                 f"degree must be <= {MAX_ZONAL_DEGREE}", field="coefficients"
             )
+        if not all(map(math.isfinite, coeffs)):
+            raise ValidationError("coefficients must be finite", field="coefficients")
         object.__setattr__(self, "coefficients", coeffs)
+
+    @property
+    def _slope(self) -> list:
+        """Coefficients of dv/d(cos theta), high degree first for np.polyval;
+        k * a_k are the products numpy.polynomial's polyder forms."""
+        a = self.coefficients
+        return [k * a[k] for k in range(len(a) - 1, 0, -1)]
 
     def value(self, theta):
         c = np.cos(np.asarray(theta, dtype=float))
-        return np.polynomial.polynomial.polyval(c, self.coefficients)
+        return np.polyval(self.coefficients[::-1], c)
 
     __call__ = value
 
     def theta_derivative(self, theta):
         theta = np.asarray(theta, dtype=float)
-        c = np.cos(theta)
-        dp = np.polynomial.polynomial.polyval(
-            c, np.polynomial.polynomial.polyder(self.coefficients)
-        )
-        return -np.sin(theta) * dp
+        return -np.sin(theta) * np.polyval(self._slope, np.cos(theta))
 
-    def min_sampled(self) -> float:
-        theta = np.linspace(0.0, math.pi, 10_000)
-        return float(self.value(theta).min())
+    def minimum(self) -> float:
+        """Exact minimum over the sphere: over c = cos(theta) in [-1, 1] it
+        sits at an end or at a real critical point of the polynomial."""
+        critical = np.clip(np.roots(self._slope).real, -1.0, 1.0)
+        c = np.concatenate(([-1.0, 1.0], critical))
+        return float(np.polyval(self.coefficients[::-1], c).min())
 
 
 @lru_cache(maxsize=64)
 def _zonal_rule(order: int, n: int):
     # Gauss rule in x = cos(theta) absorbing the sin^{n-1} measure, i.e.
     # Gauss-Jacobi with weight (1-x^2)^{(n-2)/2}; exact for polynomial
-    # integrands, spectrally accurate otherwise.
+    # integrands, spectrally accurate otherwise.  cos and sin are taken of
+    # theta, not formed from x, so that node values match v(theta) bit for bit.
     from scipy import special
 
     exponent = (n - 2) / 2.0
     x, w = special.roots_jacobi(order, exponent, exponent)
     theta = np.arccos(np.clip(x, -1.0, 1.0))
-    return theta, w
+    rule = theta, w, np.cos(theta), np.sin(theta)
+    for a in rule:
+        a.flags.writeable = False  # shared by every caller through the cache
+    return rule
+
+
+def _zonal_sum(values, w, r: float, n: int) -> float:
+    """Integral over the n-sphere of radius r of a zonal function given by
+    its values at the nodes of the rule with weights w."""
+    return unit_sphere_area(n - 1) * r ** n * float(w @ values)
 
 
 def zonal_integral(fn, scene: SphereScene, t: float, order: int = 64) -> float:
     """Integral over the sphere at time t of a function of the polar angle."""
-    st = scene.state(t)
-    theta, w = _zonal_rule(order, scene.n)
-    vals = np.asarray(fn(theta), dtype=float)
-    return unit_sphere_area(scene.n - 1) * st.r ** scene.n * float(w @ vals)
+    r = scene.state(t).r
+    theta, w, _, _ = _zonal_rule(order, scene.n)
+    return _zonal_sum(np.asarray(fn(theta), dtype=float), w, r, scene.n)
+
+
+def _zonal_jet(v: ZonalFunction, order: int, n: int):
+    """Weights of the rule, and v and dv/dtheta at its nodes."""
+    _, w, cos, sin = _zonal_rule(order, n)
+    return w, np.polyval(v.coefficients[::-1], cos), -sin * np.polyval(v._slope, cos)
 
 
 @dataclass(frozen=True)
@@ -372,28 +395,26 @@ def calibrated_sobolev_constant(n: int) -> float:
         scene = SphereScene(n=n, r0=r)
         for coeffs in _CALIBRATION_FUNCTIONS:
             v = ZonalFunction(coeffs)
-            lhs, base = _curvature_weighted_sides(scene, 0.0, v, 96)
+            lhs, base = _curvature_weighted_sides(n, scene.state(0.0), v, 96)
             if base > 0:
                 worst = max(worst, lhs / base)
     return worst
 
 
-def _sobolev_integrals(scene, t, v, order):
-    """(lp, grad2, l2): the integrals of |v|^{2n/(n-2)}, |grad v|^2 and v^2."""
-    n = scene.n
-    r = scene.state(t).r
+def _sobolev_integrals(n, st, v, order):
+    """(lp, grad2, l2): the integrals of |v|^{2n/(n-2)}, |grad v|^2 and v^2
+    over the n-sphere in state st."""
+    w, vals, dvals = _zonal_jet(v, order, n)
     exponent = 2.0 * n / (n - 2.0)
-    lp = zonal_integral(lambda th: np.abs(v(th)) ** exponent, scene, t, order)
-    grad2 = zonal_integral(lambda th: (v.theta_derivative(th) / r) ** 2, scene, t, order)
-    l2 = zonal_integral(lambda th: v(th) ** 2, scene, t, order)
+    lp = _zonal_sum(np.abs(vals) ** exponent, w, st.r, n)
+    grad2 = _zonal_sum((dvals / st.r) ** 2, w, st.r, n)
+    l2 = _zonal_sum(vals ** 2, w, st.r, n)
     return lp, grad2, l2
 
 
-def _curvature_weighted_sides(scene, t, v, order):
+def _curvature_weighted_sides(n, st, v, order):
     # returns (lhs, rhs-without-constant)
-    n = scene.n
-    st = scene.state(t)
-    lp, grad2, l2 = _sobolev_integrals(scene, t, v, order)
+    lp, grad2, l2 = _sobolev_integrals(n, st, v, order)
     hterm = st.h2 ** ((n + 2.0) / 2.0) * st.vol
     return lp ** ((n - 2.0) / n), grad2 + hterm * l2
 
@@ -421,18 +442,20 @@ def sobolev_check_zonal(
     if which == "curvature_weighted":
         if n < 3:
             raise UnsupportedDimension("curvature_weighted requires n >= 3")
+        if c_n is not None and not math.isfinite(c_n):
+            raise ValidationError("c_n must be finite", field="c_n")
         constant = calibrated_sobolev_constant(n) if c_n is None else float(c_n)
-        lhs, base = _curvature_weighted_sides(scene, t, v, order)
+        lhs, base = _curvature_weighted_sides(n, st, v, order)
         rhs = constant * base
         return SobolevReport(lhs, rhs, lhs <= rhs * (1 + 1e-12), constant)
 
     if which == "gradient_lower_bound":
         if n < 3:
             raise UnsupportedDimension("gradient_lower_bound requires n >= 3")
-        if s is None or s <= 0:
+        if s is None or not s > 0:
             raise ValidationError("gradient_lower_bound requires s > 0", field="s")
         constant = hoffman_spruck_constant(n, n / (n + 1.0), b_real=True)
-        lp, lhs, l2 = _sobolev_integrals(scene, t, v, order)
+        lp, lhs, l2 = _sobolev_integrals(n, st, v, order)
         h0sq = st.h2  # |H| is constant on the sphere
         bracket = lp ** ((n - 2.0) / n) / constant ** 2 - h0sq * (1.0 + 1.0 / s) * l2
         rhs = (n - 2.0) ** 2 / (4.0 * (n - 1.0) ** 2 * (1.0 + s)) * bracket
@@ -441,21 +464,16 @@ def sobolev_check_zonal(
     if which == "hoffman_spruck":
         if n < 2:
             raise UnsupportedDimension("hoffman_spruck requires n >= 2")
-        scale = max(abs(v.value(0.0)), 1.0)
-        if v.min_sampled() < -1e-12 * scale:
+        # sum |a_k| bounds |v| on [-1, 1] and so scales its rounding at a double root
+        scale = max(sum(map(abs, v.coefficients)), 1.0)
+        if v.minimum() < -1e-12 * scale:
             raise NegativeTestFunction("hoffman_spruck requires a nonnegative test function")
         constant = hoffman_spruck_constant(n, n / (n + 1.0), b_real=False)
-        lp = zonal_integral(
-            lambda th: np.abs(v(th)) ** (n / (n - 1.0)), scene, t, order
-        )
+        w, vals, dvals = _zonal_jet(v, order, n)
+        lp = _zonal_sum(np.abs(vals) ** (n / (n - 1.0)), w, st.r, n)
         lhs = lp ** ((n - 1.0) / n)
         habs = math.sqrt(st.h2)
-        rhs = constant * zonal_integral(
-            lambda th: np.abs(v.theta_derivative(th)) / st.r + np.abs(v(th)) * habs,
-            scene,
-            t,
-            order,
-        )
+        rhs = constant * _zonal_sum(np.abs(dvals) / st.r + np.abs(vals) * habs, w, st.r, n)
         return SobolevReport(lhs, rhs, lhs <= rhs * (1 + 1e-12), constant)
 
     raise ValidationError(f"unknown checker {which!r}", field="which")

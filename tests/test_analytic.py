@@ -8,6 +8,7 @@ from scipy import integrate
 
 from mcflow import analytic
 from mcflow.analytic import (
+    SobolevReport,
     SphereProductScene,
     SphereScene,
     ZonalFunction,
@@ -31,6 +32,78 @@ MP_GRAD2 = 14.804406601634038
 MP_L2 = 24.674011002723397
 MP_INT_V32 = 21.66434346987699
 MP_LEMMA31_RHS_BASE = 75.97278722568172  # int(|dv| + 3 v) dmu
+
+
+def _reference_evaluators(v):
+    """v and dv/dtheta by numpy.polynomial's polyval and polyder."""
+    P = np.polynomial.polynomial
+
+    def val(th):
+        return P.polyval(np.cos(th), v.coefficients)
+
+    def der(th):
+        return -np.sin(th) * P.polyval(np.cos(th), P.polyder(v.coefficients))
+
+    return val, der
+
+
+def _reference_integrals(scene, t, v, order):
+    """(lp, grad2, l2), each integrand a lambda through zonal_integral."""
+    n = scene.n
+    r = scene.state(t).r
+    val, der = _reference_evaluators(v)
+    exponent = 2.0 * n / (n - 2.0)
+    lp = zonal_integral(lambda th: np.abs(val(th)) ** exponent, scene, t, order)
+    grad2 = zonal_integral(lambda th: (der(th) / r) ** 2, scene, t, order)
+    l2 = zonal_integral(lambda th: val(th) ** 2, scene, t, order)
+    return lp, grad2, l2
+
+
+def _reference_curvature_weighted_sides(scene, t, v, order):
+    n = scene.n
+    st_ = scene.state(t)
+    lp, grad2, l2 = _reference_integrals(scene, t, v, order)
+    hterm = st_.h2 ** ((n + 2.0) / 2.0) * st_.vol
+    return lp ** ((n - 2.0) / n), grad2 + hterm * l2
+
+
+def _reference_calibration(n):
+    worst = 0.0
+    for r in (0.5, 1.0, 2.0):
+        for coeffs in analytic._CALIBRATION_FUNCTIONS:
+            lhs, base = _reference_curvature_weighted_sides(
+                SphereScene(n=n, r0=r), 0.0, ZonalFunction(coeffs), 96
+            )
+            if base > 0:
+                worst = max(worst, lhs / base)
+    return worst
+
+
+def _reference_report(scene, t, v, which, order, s=None, c_n=None):
+    """The Sobolev checkers with one quadrature per integrand."""
+    n = scene.n
+    st_ = scene.state(t)
+    if which == "curvature_weighted":
+        constant = _reference_calibration(n) if c_n is None else c_n
+        lhs, base = _reference_curvature_weighted_sides(scene, t, v, order)
+        rhs = constant * base
+        return SobolevReport(lhs, rhs, lhs <= rhs * (1 + 1e-12), constant)
+    if which == "gradient_lower_bound":
+        lp, grad2, l2 = _reference_integrals(scene, t, v, order)
+        constant = hoffman_spruck_constant(n, n / (n + 1.0), b_real=True)
+        bracket = lp ** ((n - 2.0) / n) / constant ** 2 - st_.h2 * (1.0 + 1.0 / s) * l2
+        rhs = (n - 2.0) ** 2 / (4.0 * (n - 1.0) ** 2 * (1.0 + s)) * bracket
+        return SobolevReport(grad2, rhs, grad2 >= rhs - abs(rhs) * 1e-12, constant)
+    val, der = _reference_evaluators(v)
+    constant = hoffman_spruck_constant(n, n / (n + 1.0), b_real=False)
+    lhs = zonal_integral(
+        lambda th: np.abs(val(th)) ** (n / (n - 1.0)), scene, t, order
+    ) ** ((n - 1.0) / n)
+    habs = math.sqrt(st_.h2)
+    rhs = constant * zonal_integral(
+        lambda th: np.abs(der(th)) / st_.r + np.abs(val(th)) * habs, scene, t, order
+    )
+    return SobolevReport(lhs, rhs, lhs <= rhs * (1 + 1e-12), constant)
 
 
 class TestConstants:
@@ -284,6 +357,20 @@ class TestZonal:
         with pytest.raises(ValidationError):
             ZonalFunction(tuple(range(18)))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coefficients_rejected(self, bad):
+        with pytest.raises(ValidationError) as err:
+            ZonalFunction((1.0, bad))
+        assert err.value.field == "coefficients"
+
+    def test_minimum_is_exact_at_interior_double_roots(self):
+        # 7 (c - 0.3)^2 (c + 0.6)^2 touches zero twice inside [-1, 1]
+        roots = [0.3, 0.3, -0.6, -0.6]
+        v = ZonalFunction(tuple(7.0 * np.polynomial.polynomial.polyfromroots(roots)))
+        assert abs(v.minimum()) < 1e-13
+        assert ZonalFunction((0.5, -2.0)).minimum() == -1.5
+        assert ZonalFunction((2.0,)).minimum() == 2.0
+
     def test_quadrature_exact_volume(self):
         for n in (2, 3, 4, 5):
             scene = SphereScene(n=n, r0=1.3)
@@ -361,6 +448,58 @@ class TestSobolevCheckers:
         assert rep.holds
         with pytest.raises(NegativeTestFunction):
             sobolev_check_zonal(scene, 0.0, ZonalFunction((0.0, 1.0)), "hoffman_spruck")
+
+    def test_hoffman_spruck_rejects_a_dip_between_sample_angles(self):
+        # (c - c0)^2 - 1e-9 is negative only for |c - c0| < 3.2e-5, with c0
+        # between the cosines of two neighbouring angles of linspace(0, pi, 10000)
+        c0 = math.cos(5000.5 * math.pi / 9999)
+        v = ZonalFunction((c0 ** 2 - 1e-9, -2.0 * c0, 1.0))
+        assert v.minimum() == pytest.approx(-1e-9, abs=1e-15)
+        with pytest.raises(NegativeTestFunction):
+            sobolev_check_zonal(SphereScene(n=3), 0.0, v, "hoffman_spruck")
+
+    def test_hoffman_spruck_accepts_interior_double_roots(self):
+        roots = [0.3, 0.3, -0.6, -0.6]
+        v = ZonalFunction(tuple(7.0 * np.polynomial.polynomial.polyfromroots(roots)))
+        assert sobolev_check_zonal(SphereScene(n=3), 0.0, v, "hoffman_spruck").holds
+
+    @pytest.mark.parametrize("s", [None, 0.0, -1.0, math.nan])
+    def test_gradient_lower_bound_requires_positive_s(self, s):
+        with pytest.raises(ValidationError) as err:
+            sobolev_check_zonal(
+                SphereScene(n=3), 0.0, ZonalFunction((1.0,)), "gradient_lower_bound", s=s
+            )
+        assert err.value.field == "s"
+
+    @pytest.mark.parametrize("c_n", [math.inf, math.nan])
+    def test_curvature_weighted_requires_a_finite_constant(self, c_n):
+        with pytest.raises(ValidationError) as err:
+            sobolev_check_zonal(
+                SphereScene(n=3), 0.0, ZonalFunction((1.0,)), "curvature_weighted", c_n=c_n
+            )
+        assert err.value.field == "c_n"
+
+    def test_reports_match_one_quadrature_per_integrand_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for i in range(60):
+            n = 3 + i % 3
+            order = 2048 if i % 4 == 3 else 64
+            r0 = float(rng.uniform(0.5, 2.0))
+            t = float(rng.uniform(0.0, 0.9)) * r0 * r0 / (2 * n)
+            coeffs = rng.uniform(-1.0, 1.0, 5)
+            coeffs[0] = 1.0 + np.abs(coeffs[1:]).sum()  # nonnegative v
+            v = ZonalFunction(tuple(coeffs[:1] if i % 10 == 0 else coeffs))
+            s = float(rng.uniform(0.1, 3.0))
+            scene = SphereScene(n=n, r0=r0)
+            for which, kwargs in (
+                ("hoffman_spruck", {}),
+                ("gradient_lower_bound", {"s": s}),
+                ("curvature_weighted", {"c_n": 1.7}),
+                ("curvature_weighted", {}),
+            ):
+                got = sobolev_check_zonal(scene, t, v, which, order=order, **kwargs)
+                want = _reference_report(scene, t, v, which, order, **kwargs)
+                assert got == want, (i, which)
 
     def test_dimension_guards(self):
         scene = SphereScene(n=2, r0=1.0)

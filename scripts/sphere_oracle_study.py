@@ -19,7 +19,7 @@ WRITE_PLOTDATA = True
 
 sys.path.insert(0, "src")
 
-from mcflow.flow import FlowState, MonitorParams, SchemeConfig, StopRule, run_until
+from mcflow.flow import FlowState, SchemeConfig, StopRule, run_until
 from mcflow.scenes import icosphere
 
 T_EXACT = 0.25
@@ -32,7 +32,7 @@ def main():
     for subdiv in SUBDIVS:
         imm = icosphere(subdiv=subdiv, r0=1.0)
         cfg = SchemeConfig(scheme="semi_implicit", cfl=CFL, stop=StopRule(t_end=T_END))
-        trace = run_until(FlowState(immersion=imm), cfg, MonitorParams(alphas=(2.0, 4.0)))
+        trace = run_until(FlowState(immersion=imm), cfg, alphas=(2.0, 4.0))
 
         gap = vol_rel = 0.0
         logs, vals = [], []

@@ -24,7 +24,6 @@ from .curvature import (
 from .flow import (
     FlowState,
     FlowTrace,
-    MonitorParams,
     SchemeConfig,
     StopRule,
     redistribute,

@@ -69,8 +69,8 @@ class SphereScene:
             raise ValidationError("sphere intrinsic dimension must be >= 1", field="n")
         if self.d < 1:
             raise ValidationError("codimension must be >= 1", field="d")
-        if not self.r0 > 0:
-            raise ValidationError("initial radius must be positive", field="r0")
+        if not 0 < self.r0 < math.inf:
+            raise ValidationError("initial radius must be positive and finite", field="r0")
 
     @property
     def intrinsic_dim(self) -> int:
@@ -164,8 +164,8 @@ class SphereProductScene:
     def __post_init__(self):
         if self.p < 1 or self.q < 1:
             raise ValidationError("factor dimensions must be >= 1", field="p")
-        if not (self.a0 > 0 and self.b0 > 0):
-            raise ValidationError("factor radii must be positive", field="a0")
+        if not (0 < self.a0 < math.inf and 0 < self.b0 < math.inf):
+            raise ValidationError("factor radii must be positive and finite", field="a0")
         if self.extra_codim < 0:
             raise ValidationError("extra_codim must be >= 0", field="extra_codim")
 

@@ -62,7 +62,7 @@ def main(argv=None) -> int:
             reports, code = runner.check_suite(args.suite, scene, fast=not args.full)
             for rep in reports:
                 print(f"{rep.verdict:>13}  {rep.name}")
-            print(json.dumps([r.to_json_dict() for r in reports], sort_keys=True))
+            print(json.dumps([vars(r) for r in reports], sort_keys=True))
             return code
 
         if args.command == "oracle":

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,10 +37,11 @@ def _section(value, allowed: set, where: str) -> dict:
 
 
 def _number(value, field: str, integer: bool = False):
-    """``value`` if it is a JSON number (an integer if ``integer``), else a config error."""
+    """``value`` if it is a JSON number (an integer if ``integer``) in the float range, else
+    a config error: NaN, inf (json reads ``1e999`` and ``Infinity`` as inf) and 10**400 fail."""
     ok = isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
-    if not ok or (isinstance(value, float) and math.isnan(value)):
-        kind = "an integer" if integer else "a number"
+    if not ok or not (integer or abs(value) <= sys.float_info.max):
+        kind = "an integer" if integer else "a finite number"
         raise ValidationError(f"{field} must be {kind}, not {value!r}", field=field)
     return value
 
@@ -52,7 +54,7 @@ def _array(value, field: str) -> np.ndarray | None:
         arr = np.asarray(value)
     except ValueError:  # ragged nesting
         arr = np.asarray(None)
-    if arr.ndim == 0 or arr.dtype.kind not in "iuf" or np.isnan(arr).any():
+    if arr.ndim == 0 or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
         raise ValidationError(f"{field} must be an array of numbers", field=field)
     return arr.astype(float)
 
@@ -227,7 +229,9 @@ def config_from_dict(raw: dict) -> RunConfig:
     )
 
     def scheme_num(key, default, integer=False):
-        return _number(scheme_raw.get(key, default), f"scheme.{key}", integer)
+        if key not in scheme_raw:
+            return default  # unchecked: dt_max's default inf means no cap
+        return _number(scheme_raw[key], f"scheme.{key}", integer)
 
     scheme = SchemeConfig(
         scheme=scheme_raw.get("scheme", "semi_implicit"),

@@ -57,10 +57,6 @@ class ZeroMeanCurvature(McflowError):
     """Mean curvature vanishes where a positive lower bound is required."""
 
 
-class UnknownQuantity(McflowError):
-    """Requested a trace column that does not exist."""
-
-
 class ParseError(McflowError):
     """A configuration or mesh file does not parse (not JSON, not a numeric table)."""
 
@@ -76,3 +72,7 @@ class ValidationError(McflowError):
     def __init__(self, message, field=None):
         super().__init__(message)
         self.field = field
+
+
+class UnknownQuantity(ValidationError):
+    """Requested a trace column that does not exist."""

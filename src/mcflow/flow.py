@@ -12,7 +12,7 @@ per vertex array in ``mesh``); it also bounds the explicit step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import sparse
@@ -89,12 +89,10 @@ class SchemeConfig:
 _PCG_RTOL = 1e-13
 _PCG_MAX_ITER = 1000
 
-#: trace fields keyed by a float parameter (p, alpha); JSON keys are strings
-_FLOAT_KEYED = ("aring_p_norms", "st_integral_alpha")
-
-
 @dataclass
 class TraceRecord:
+    """One observed state; a trace line is ``json.dumps(vars(rec))``, float keys as "4.0"."""
+
     t: float
     dt: float
     vol: float
@@ -105,18 +103,20 @@ class TraceRecord:
     st_integral_alpha: dict
     scheme: str
 
-    def to_json_dict(self) -> dict:
-        out = dict(vars(self))
-        for key in _FLOAT_KEYED:
-            out[key] = {str(k): v for k, v in out[key].items()}
-        return out
-
     @classmethod
     def from_json_dict(cls, raw: dict) -> "TraceRecord":
-        fields = dict(raw)
-        for key in _FLOAT_KEYED:
-            fields[key] = {float(k): v for k, v in fields[key].items()}
-        return cls(**fields)
+        raw = dict(raw)
+        for f in fields(cls):
+            if f.type == "dict":
+                raw[f.name] = {float(k): v for k, v in raw[f.name].items()}
+        return cls(**raw)
+
+    def columns(self) -> dict:
+        """Plot columns by name: the scalars, ``aring_<p:g>`` and ``st_integral_<alpha:g>``."""
+        cols = {k: getattr(self, k) for k in ("t", "dt", "vol", "h2_max", "h2_min", "a2_max")}
+        cols.update((f"aring_{p:g}", v) for p, v in self.aring_p_norms.items())
+        cols.update((f"st_integral_{a:g}", v) for a, v in self.st_integral_alpha.items())
+        return cols
 
 
 @dataclass
@@ -290,16 +290,11 @@ def redistribute(imm: DiscreteImmersion) -> DiscreteImmersion:
 # ---------------------------------------------------------------------------
 # driver
 
-@dataclass
-class MonitorParams:
-    p_list: tuple = (2.0,)
-    alphas: tuple = ()  # empty -> (n + 2,)
-
-
 def run_until(
     state: FlowState,
     cfg: SchemeConfig,
-    monitors: MonitorParams | None = None,
+    p_list: tuple = (2.0,),
+    alphas: tuple = (),
     snapshot_every: int = 0,
     on_record=None,
 ) -> FlowTrace:
@@ -310,15 +305,15 @@ def run_until(
     the maximal time from below; element collapse ends a mesh run with a
     ``singular`` verdict instead of surgery.  An exact scene is sampled from
     its closed form, never steps past its collapse time and takes no
-    snapshots.
+    snapshots.  Each record holds the L^p norms of |Aring| for ``p_list`` and
+    the spacetime |H|^alpha integrals for ``alphas`` (empty: alpha = n + 2).
     """
-    monitors = monitors or MonitorParams()
     body = state.immersion
     mesh = isinstance(body, DiscreteImmersion)
     n = body.intrinsic_dim
     scheme = cfg.scheme if mesh else "analytic"
     snapshot_every = snapshot_every if mesh else 0
-    alphas = tuple(monitors.alphas) or (float(n + 2),)
+    alphas = tuple(alphas) or (float(n + 2),)
     accumulators = {a: SpacetimeAccumulator(alpha=a) for a in alphas}
 
     records: list[TraceRecord] = []
@@ -345,7 +340,7 @@ def run_until(
                 h2_max=float(view.h2.max()),
                 h2_min=float(view.h2.min()),
                 a2_max=float(view.a2.max()),
-                aring_p_norms={p: lp_norm(aring, p, view.weights) for p in monitors.p_list},
+                aring_p_norms={p: lp_norm(aring, p, view.weights) for p in p_list},
                 st_integral_alpha=integrals,
                 scheme=scheme,
             )

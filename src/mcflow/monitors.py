@@ -79,15 +79,6 @@ class MonitorReport:
     verdict: str
     anchor: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "digest": self.digest,
-            "values": self.values,
-            "verdict": self.verdict,
-            "anchor": self.anchor,
-        }
-
 
 @dataclass
 class StateView:

@@ -31,7 +31,6 @@ from .errors import (
 from .flow import (
     FlowState,
     FlowTrace,
-    MonitorParams,
     Snapshot,
     TraceRecord,
     estimator_discrepancy,
@@ -94,7 +93,6 @@ def run(config: RunConfig, out_dir) -> int:
     }
     _dump(manifest, manifest_path)
 
-    params = MonitorParams(p_list=config.monitors.p_list, alphas=config.monitors.alphas)
     trace_path = os.path.join(out_dir, "trace.ndjson")
     try:
         # records stream to disk line-by-line so an interrupted run still
@@ -102,13 +100,14 @@ def run(config: RunConfig, out_dir) -> int:
         with open(trace_path, "w") as fh:
 
             def emit(rec):
-                fh.write(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n")
+                fh.write(json.dumps(vars(rec), sort_keys=True) + "\n")
                 fh.flush()
 
             trace = run_until(
                 FlowState(immersion=body),
                 config.scheme,
-                params,
+                p_list=config.monitors.p_list,
+                alphas=config.monitors.alphas,
                 snapshot_every=config.snapshot_every,
                 on_record=emit,
             )
@@ -116,7 +115,7 @@ def run(config: RunConfig, out_dir) -> int:
         if trace.snapshots:
             _write_snapshots(trace, snap_dir)
             manifest["artifacts"].append("snapshots")
-        _dump([r.to_json_dict() for r in reports], os.path.join(out_dir, "monitors.json"))
+        _dump([vars(r) for r in reports], os.path.join(out_dir, "monitors.json"))
         _dump(summary, os.path.join(out_dir, "summary.json"))
         manifest["artifacts"].extend(["monitors.json", "summary.json"])
         manifest["status"] = "complete"
@@ -151,8 +150,7 @@ def _final_reports(config: RunConfig, trace: FlowTrace):
         "stop_reason": trace.stop_reason,
         "t_final": trace.records[-1].t,
         "spacetime_norms": {
-            str(a): trace.records[-1].st_integral_alpha[a] ** (1.0 / a)
-            for a in trace.records[-1].st_integral_alpha
+            a: value ** (1.0 / a) for a, value in trace.records[-1].st_integral_alpha.items()
         },
     }
 
@@ -303,47 +301,24 @@ def rescale_trace(trace_dir, T_hat=None, center=None, out_dir=None) -> dict:
 
 
 def emit_plotdata(trace_dir, quantities, out_dir=None) -> str:
-    """Whitespace-separated columns of trace quantities, one file per group."""
+    """Whitespace-separated columns of trace quantities (``TraceRecord.columns``)."""
     if not quantities:
         raise ValidationError("empty quantity list", field="vars")
     records = read_trace_records(trace_dir)
     if not records:
         raise ValidationError("trace has no records", field="trace")
-
-    def column(name):
-        if name in ("t", "dt", "vol", "h2_max", "h2_min", "a2_max"):
-            return [getattr(r, name) for r in records]
-        if name.startswith("aring_"):
-            p = _suffix_value(name, name.split("_", 1)[1])
-            try:
-                return [r.aring_p_norms[p] for r in records]
-            except KeyError:
-                raise UnknownQuantity(f"trace lacks the p={p:g} norm") from None
-        if name.startswith("st_integral"):
-            suffix = name[len("st_integral") :].lstrip("_")
-            keys = sorted(records[0].st_integral_alpha)
-            alpha = _suffix_value(name, suffix) if suffix else keys[0]
-            if alpha not in records[0].st_integral_alpha:
-                raise UnknownQuantity(f"trace lacks the alpha={alpha:g} integral")
-            return [r.st_integral_alpha[alpha] for r in records]
-        raise UnknownQuantity(f"unknown quantity {name!r}")
-
-    cols = [column(q) for q in quantities]
+    table = [rec.columns() for rec in records]
+    for name in quantities:
+        if any(name not in cols for cols in table):
+            have = ", ".join(table[0])
+            raise UnknownQuantity(f"unknown quantity {name!r}; the trace has {have}", field="vars")
     out_dir = os.path.join(str(trace_dir), "plots") if out_dir is None else str(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "_".join(quantities) + ".dat")
     with open(path, "w") as fh:
-        for row in zip(*cols):
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        for cols in table:
+            fh.write(" ".join(repr(float(cols[q])) for q in quantities) + "\n")
     return path
-
-
-def _suffix_value(name: str, suffix: str) -> float:
-    """The p or alpha that a column name such as ``aring_2`` carries."""
-    try:
-        return float(suffix)
-    except ValueError:
-        raise UnknownQuantity(f"unknown quantity {name!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from mcflow.analytic import (
 )
 from mcflow.config import config_from_dict
 from mcflow.curvature import gauss_residual, jet_forms
-from mcflow.flow import FlowState, MonitorParams, SchemeConfig, StopRule, run_until
+from mcflow.flow import FlowState, SchemeConfig, StopRule, run_until
 from mcflow.monitors import (
     HOLDS,
     blowup_estimate,
@@ -63,7 +63,7 @@ def sphere_oracle_runs():
             scheme="semi_implicit", cfl=0.002, stop=StopRule(t_end=3.0 / 16.0)
         )
         runs[name] = run_until(
-            FlowState(immersion=imm), cfg, MonitorParams(alphas=(2.0, 4.0))
+            FlowState(immersion=imm), cfg, alphas=(2.0, 4.0)
         )
     return runs
 
@@ -167,7 +167,7 @@ def test_criterion_04_spacetime_integral_oracle(sphere_oracle_runs):
 def test_criterion_05_blowup_estimator(sphere_oracle_runs):
     scene = SphereScene(n=2, r0=1.0)
     cfg = SchemeConfig(cfl=0.05, stop=StopRule(t_end=0.2))
-    analytic_trace = run_until(FlowState(immersion=scene), cfg, MonitorParams())
+    analytic_trace = run_until(FlowState(immersion=scene), cfg)
     est0 = analytic_trace.records[0]
     exact0 = est0.t + 2.0 / (2.0 * est0.h2_max)
     mesh_est = blowup_estimate(sphere_oracle_runs["r3"])["T_hat_stabilized"]
@@ -343,11 +343,11 @@ def test_criterion_10_reproducibility(tmp_path):
     q = random_rotation(3, seed=7)
     shift = np.array([0.3, -1.2, 2.5])
     cfg2 = SchemeConfig(cfl=0.01, stop=StopRule(step_cap=30))
-    base = run_until(FlowState(immersion=imm), cfg2, MonitorParams(alphas=(4.0,)))
+    base = run_until(FlowState(immersion=imm), cfg2, alphas=(4.0,))
     moved = run_until(
         FlowState(immersion=imm.transformed(rotation=q, translation=shift)),
         cfg2,
-        MonitorParams(alphas=(4.0,)),
+        alphas=(4.0,),
     )
     worst = 0.0
     for ra, rb in zip(base.records, moved.records):

@@ -170,6 +170,20 @@ class TestSphereState:
         with pytest.raises(PastSingularity):
             closed_form(math.nan)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda r: SphereScene(n=3, r0=r),
+            lambda r: SphereProductScene(p=2, q=1, a0=r),
+            lambda r: SphereProductScene(p=2, q=1, b0=r),
+        ],
+        ids=["sphere", "product_a0", "product_b0"],
+    )
+    @pytest.mark.parametrize("r", [math.inf, math.nan, 0.0])
+    def test_radius_must_be_positive_and_finite(self, make, r):
+        with pytest.raises(ValidationError):
+            make(r)
+
     @settings(max_examples=30, deadline=None)
     @given(
         n=st.integers(1, 6),

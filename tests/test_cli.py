@@ -159,6 +159,11 @@ CONFIG_MISTAKES = {
     "t_end_nan": _small_run(stop={"t_end": math.nan}),
     "step_cap_nan": _small_run(stop={"step_cap": math.nan}),
     "subdiv_negative": _small_run({**SPHERE, "subdiv": -1}),
+    # non-finite values (json.dumps writes inf as Infinity, which json reads back)
+    "r0_infinite": _small_run({**SPHERE, "r0": math.inf}),
+    "cfl_infinite": _small_run(scheme={"cfl": math.inf}),
+    "max_a2_infinite": _small_run(stop={"maxA2": math.inf}),
+    "semi_axis_infinite": _small_run({"kind": "ellipsoid", "semi_axes": [1.0, math.inf, 1.0]}),
 }
 
 
@@ -446,6 +451,29 @@ class TestPlotData:
         with pytest.raises(UnknownQuantity):
             runner.emit_plotdata(trace_dir, ["t", "entropy"])
 
+    def test_unknown_quantity_lists_the_columns(self, trace_dir):
+        with pytest.raises(ValidationError) as err:
+            runner.emit_plotdata(trace_dir, ["t", "st_integral_4.0"])
+        assert str(err.value) == (
+            "unknown quantity 'st_integral_4.0'; the trace has "
+            "t, dt, vol, h2_max, h2_min, a2_max, aring_2, st_integral_4"
+        )
+        assert not (trace_dir / "plots" / "t_st_integral_4.0.dat").exists()
+
+    def test_every_p_and_alpha_is_a_column(self, tmp_path):
+        # 10 and 12 sort before 2 and 4 as strings
+        scene = {**SPHERE, "subdiv": 2, "perturbation": {"modes": [[2, 0, 0.1]]}}
+        raw = _small_run(scene, monitors={"p": [2, 10], "alpha": [4, 12]})
+        assert runner.run(config_from_dict(raw), tmp_path / "run") == 0
+        path = runner.emit_plotdata(tmp_path / "run", ["aring_10", "st_integral_12"])
+        lines = (tmp_path / "run" / "trace.ndjson").read_text().splitlines()
+        want = [
+            [rec["aring_p_norms"]["10.0"], rec["st_integral_alpha"]["12.0"]]
+            for rec in map(json.loads, lines)
+        ]
+        assert np.loadtxt(path, ndmin=2).tolist() == want
+        assert want[-1][0] > 0 and want[-1][1] > 0
+
 
 class TestCheckSuite:
     def test_identities_fast_battery(self):
@@ -480,8 +508,8 @@ def r5_trace_dir(tmp_path_factory):
     [
         (["rescale", "--center", "1,2"], 4),
         (["rescale", "--center", "a,b,c"], 4),
-        (["plot", "--vars", "aring_x"], 3),
-        (["plot", "--vars", "st_integral_x"], 3),
+        (["plot", "--vars", "aring_x"], 4),
+        (["plot", "--vars", "st_integral_x"], 4),
     ],
     ids=["center_length", "center_letters", "aring_suffix", "st_integral_suffix"],
 )
@@ -596,6 +624,13 @@ class TestCliEntry:
         assert code == 0
         record = json.loads(capsys.readouterr().out)
         assert record["h2"] == pytest.approx(18.0, rel=1e-10)
+
+    @pytest.mark.parametrize("r0", ["1e999", "Infinity"])
+    def test_oracle_of_an_infinite_radius_exits_4(self, capsys, r0):
+        scene = '{"kind": "analytic_sphere", "n": 3, "r0": %s}' % r0
+        assert cli.main(["oracle", "--scene", scene]) == 4
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("config error: scene.r0 must be")
 
     def test_oracle_nan_time_is_a_numerical_failure(self, capsys):
         code = cli.main(["oracle", "--scene", '{"kind": "analytic_sphere"}', "--t", "nan"])

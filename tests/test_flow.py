@@ -21,7 +21,6 @@ from mcflow.errors import (
 )
 from mcflow.flow import (
     FlowState,
-    MonitorParams,
     SchemeConfig,
     StopRule,
     TraceRecord,
@@ -304,9 +303,8 @@ class TestRunUntil:
 
     def test_discrete_volume_decay_identity(self, icosphere4):
         # per-step |dVol/dt + integral(|H|^2)| <= 5% of the integral
-        params = MonitorParams(alphas=(2.0, 4.0))
         cfg = SchemeConfig(cfl=0.01, stop=StopRule(step_cap=25))
-        trace = run_until(FlowState(immersion=icosphere4), cfg, params)
+        trace = run_until(FlowState(immersion=icosphere4), cfg, alphas=(2.0, 4.0))
         for prev, rec in zip(trace.records, trace.records[1:]):
             flux = (
                 rec.st_integral_alpha[2.0] - prev.st_integral_alpha[2.0]
@@ -373,12 +371,12 @@ class TestRunUntil:
 
     @pytest.mark.parametrize("scheme", ["semi_implicit", "explicit"])
     @pytest.mark.parametrize(
-        "monitors", [None, MonitorParams(p_list=(1.0, 2.0, 4.0), alphas=(4.0, 5.0))]
+        "monitors", [None, {"p_list": (1.0, 2.0, 4.0), "alphas": (4.0, 5.0)}]
     )
     def test_stiffness_assembled_once_per_step(self, scheme, monitors, stiffness_assemblies):
         steps = 4
         cfg = SchemeConfig(scheme=scheme, stop=StopRule(step_cap=steps))
-        trace = run_until(FlowState(immersion=icosphere(subdiv=2)), cfg, monitors)
+        trace = run_until(FlowState(immersion=icosphere(subdiv=2)), cfg, **(monitors or {}))
         assert len(trace.records) == steps + 1
         assert stiffness_assemblies == [162] * steps  # the final state is never stepped
 
@@ -594,9 +592,18 @@ class TestTraceRecordSchema:
             h2_max=values[3],
             h2_min=values[4],
             a2_max=values[5],
-            aring_p_norms=dict(zip((1.0, 2.0, 4.0), values[6:9])),
-            st_integral_alpha=dict(zip((4.0, 5.0, 6.0), values[9:12])),
+            aring_p_norms=dict(zip((1.0, 2.0, 10.0), values[6:9])),
+            st_integral_alpha=dict(zip((4.0, 5.0, 12.0), values[9:12])),
             scheme="semi_implicit",
         )
-        line = json.dumps(rec.to_json_dict(), sort_keys=True)
+        # "10.0" sorts before "2.0" as a string; json sorts the float keys
+        line = json.dumps(vars(rec), sort_keys=True)
+        assert line.index('"2.0"') < line.index('"10.0"')
+        assert line.index('"5.0"') < line.index('"12.0"')
         assert TraceRecord.from_json_dict(json.loads(line)) == rec
+        cols = rec.columns()
+        assert list(cols) == [
+            "t", "dt", "vol", "h2_max", "h2_min", "a2_max",
+            "aring_1", "aring_2", "aring_10", "st_integral_4", "st_integral_5", "st_integral_12",
+        ]
+        assert cols["aring_10"] == values[8] and cols["st_integral_12"] == values[11]

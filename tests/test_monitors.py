@@ -34,7 +34,7 @@ from mcflow.monitors import (
     pinching_linear,
     state_view,
 )
-from mcflow.flow import FlowState, MonitorParams, SchemeConfig, StopRule, run_until
+from mcflow.flow import FlowState, SchemeConfig, StopRule, run_until
 from mcflow.scenes import clifford_torus, ellipsoid, icosphere, polygon_circle
 
 
@@ -45,7 +45,7 @@ def synthetic_sphere_trace(n=2, r0=1.0, steps=400, t_frac=0.9):
         cfl=math.inf, dt_max=t_frac * scene.collapse_time / steps,
         stop=StopRule(t_end=t_frac * scene.collapse_time),
     )
-    return scene, run_until(FlowState(immersion=scene), cfg, MonitorParams())
+    return scene, run_until(FlowState(immersion=scene), cfg)
 
 
 class TestLpNorm:
@@ -219,7 +219,7 @@ class TestInequalitySuite:
         second = inequality_suite(view)
         assert len(derivs) == 1
         assert len(fits) == 1
-        assert [r.to_json_dict() for r in first] == [r.to_json_dict() for r in second]
+        assert [vars(r) for r in first] == [vars(r) for r in second]
         assert "gradient_a_vs_aring" in {r.name for r in first}
 
     def test_diameter_of_circle_graph(self):
@@ -362,7 +362,7 @@ class TestGraphDiameter:
         assert topping.values["diameter"] is None
         assert topping.values["ratio"] is None
         assert topping.verdict == INFORMATIONAL
-        json.dumps([r.to_json_dict() for r in reports], allow_nan=False)
+        json.dumps([vars(r) for r in reports], allow_nan=False)
 
 
 class TestMoserRatio:

@@ -14,6 +14,8 @@ gauge-invariant scalar field or an ambient vector.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +41,73 @@ RING = 2
 #: (vertex, neighbor) pairs transported per block in derivative_data; blocks
 #: bound the transient memory and leave every pair's arithmetic unchanged
 _PAIR_BLOCK = 4096
+
+#: vertices per block of the local fits: bounds each block's transient memory
+#: and is the unit of parallel work; every vertex's arithmetic is the same in
+#: any block, so the fits are bit-identical however the mesh is split
+_VERTEX_BLOCK = 1024
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    """A forked child has none of its parent's threads: it makes its own pool."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _executor():
+    """The fit threads, one per CPU this process may use, made on first use;
+    None when the process may use one CPU only."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            try:
+                workers = len(os.sched_getaffinity(0))
+            except AttributeError:  # a platform without CPU affinity
+                workers = os.cpu_count() or 1
+            if workers < 2:
+                return None
+            # imported here: concurrent.futures loads logging
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="mcflow-fit")
+        return _pool
+
+
+def _by_blocks(fn, nv, count=None, step=None):
+    """Run ``fn(block)`` for the consecutive slices ``block`` of ``range(count)``
+    (default ``nv``), ``step`` (default ``_VERTEX_BLOCK``) long, and return the
+    arrays it returns, each filled in over the whole range.
+
+    On a mesh of ``nv`` > ``_VERTEX_BLOCK`` vertices the blocks run on the fit
+    threads (numpy's batched linear algebra and ufuncs release the GIL),
+    otherwise in order in the calling thread; the first exception in block
+    order propagates.  One block's arrays are returned as they are.  With more
+    blocks each array is allocated when the first block returns and every
+    block's part is copied in, in block order: nothing is concatenated.
+    ``fn`` reads no cached property (``cached_property`` takes no lock) and
+    calls no public function, whose wrappers may keep state of the calling
+    thread, such as a stack of timing spans.
+    """
+    count = nv if count is None else count
+    step = step or _VERTEX_BLOCK
+    blocks = [slice(i, min(i + step, count)) for i in range(0, count, step)]
+    if len(blocks) == 1:
+        return fn(blocks[0])
+    pool = _executor() if nv > _VERTEX_BLOCK else None
+    whole = None
+    for block, parts in zip(blocks, map(fn, blocks) if pool is None else pool.map(fn, blocks)):
+        if whole is None:
+            whole = tuple(np.empty((count, *a.shape[1:]), a.dtype) for a in parts)
+        for into, part in zip(whole, parts):
+            into[block] = part
+    return whole
 
 
 @dataclass
@@ -107,47 +176,48 @@ def _fix_signs(basis: np.ndarray) -> np.ndarray:
 def build_frames(imm: DiscreteImmersion) -> FrameField:
     """Tangent/normal frames from PCA of the centered ring neighborhoods, and
     the neighborhoods in those frames."""
-    n = imm.intrinsic_dim
+    n, dim = imm.intrinsic_dim, imm.ambient_dim
+    vertices = imm.vertices
     idx, mask = imm.topology.ring_neighborhoods(RING)
     counts = mask.sum(axis=1)
     if counts.min() < n + 1:
         raise NeighborhoodRankDeficient("neighborhood smaller than n+1 points")
 
-    pts = imm.vertices[idx]
-    inside = mask[:, :, None].astype(float)
-    mean = (pts * inside).sum(axis=1) / counts[:, None]
-    centered = (pts - mean[:, None, :]) * inside
-    cov = np.swapaxes(centered, 1, 2) @ centered / counts[:, None, None]
+    def block_frames(block):
+        pts = vertices[idx[block]]
+        inside = mask[block, :, None].astype(float)
+        size = counts[block]
+        mean = (pts * inside).sum(axis=1) / size[:, None]
+        centered = (pts - mean[:, None, :]) * inside
+        cov = np.swapaxes(centered, 1, 2) @ centered / size[:, None, None]
 
-    eigvals, eigvecs = np.linalg.eigh(cov)  # ascending
-    del inside, centered  # bound the peak: the stencil below is as large
-    top = eigvals[:, -1]
-    kth = eigvals[:, -n]
-    deficient = kth <= 1e-13 * np.maximum(top, 1e-300)
+        eigvals, eigvecs = np.linalg.eigh(cov)  # ascending
+        del inside, centered  # bound the peak: the stencil below is as large
+        top = eigvals[:, -1]
+        kth = eigvals[:, -n]
+        deficient = kth <= 1e-13 * np.maximum(top, 1e-300)
+
+        tangent = _fix_signs(np.swapaxes(eigvecs[:, :, dim - n :], 1, 2)[:, ::-1, :])
+        normal = _fix_signs(np.swapaxes(eigvecs[:, :, : dim - n], 1, 2)[:, ::-1, :])
+
+        delta = np.subtract(pts, vertices[block, None, :], out=pts)  # the gather, reused
+        dist = np.linalg.norm(delta, axis=2)
+        others = mask[block].copy()
+        others[:, 0] = False  # exclude the center itself from the scale
+        sigma = (dist * others).sum(axis=1) / np.maximum(others.sum(axis=1), 1)
+        sigma = np.maximum(sigma, 1e-300)
+        u = delta @ np.swapaxes(tangent, 1, 2) / sigma[:, None, None]
+        w = delta @ np.swapaxes(normal, 1, 2) / sigma[:, None, None]
+        theta = np.exp(-((dist / sigma[:, None]) ** 2)) * mask[block]
+        return deficient, tangent, normal, u, w, theta, sigma
+
+    deficient, tangent, normal, u, w, theta, sigma = _by_blocks(block_frames, len(idx))
     if deficient.any():
         raise NeighborhoodRankDeficient(
             f"rank-deficient neighborhood at vertex {int(np.argmax(deficient))}"
         )
-
-    dim = imm.ambient_dim
-    tangent = _fix_signs(np.swapaxes(eigvecs[:, :, dim - n :], 1, 2)[:, ::-1, :])
-    normal = _fix_signs(np.swapaxes(eigvecs[:, :, : dim - n], 1, 2)[:, ::-1, :])
-
-    delta = np.subtract(pts, imm.vertices[:, None, :], out=pts)  # the gather, reused
-    dist = np.linalg.norm(delta, axis=2)
-    others = mask.copy()
-    others[:, 0] = False  # exclude the center itself from the scale
-    sigma = (dist * others).sum(axis=1) / np.maximum(others.sum(axis=1), 1)
-    sigma = np.maximum(sigma, 1e-300)
     return FrameField(
-        tangent=tangent,
-        normal=normal,
-        idx=idx,
-        mask=mask,
-        u=delta @ np.swapaxes(tangent, 1, 2) / sigma[:, None, None],
-        w=delta @ np.swapaxes(normal, 1, 2) / sigma[:, None, None],
-        theta=np.exp(-((dist / sigma[:, None]) ** 2)) * mask,
-        sigma=sigma,
+        tangent=tangent, normal=normal, idx=idx, mask=mask, u=u, w=w, theta=theta, sigma=sigma
     )
 
 
@@ -194,27 +264,37 @@ def _ill_conditioned(gram: np.ndarray) -> np.ndarray:
     return bad
 
 
-def _weighted_lstsq(design, rhs, theta, what):
-    """Batched weighted least squares with conditioning checks.
+def _weighted_lstsq(system, theta, k, what):
+    """Batched weighted least squares with conditioning checks, in vertex blocks.
 
-    design (V, m, K), rhs (V, m, R), theta (V, m) -> coefficients (V, K, R).
+    ``system(block)`` gives the design (B, m, k) and right-hand sides (B, m, R)
+    of the vertices ``block``, whose weights are ``theta[block]`` (B, m);
+    returns the coefficients (V, k, R).  The checks raise in the calling
+    thread, in the order and with the messages of one fit of the whole mesh.
     """
-    k = design.shape[2]
     counts = (theta > 0).sum(axis=1)
     if counts.min() < k:
         raise FitUnderdetermined(
             f"{what}: vertex {int(np.argmin(counts))} has {int(counts.min())} "
             f"samples for {k} coefficients"
         )
-    wd_t = np.swapaxes(design * theta[:, :, None], 1, 2)
-    gram = wd_t @ design
-    bad = _ill_conditioned(gram)
+
+    def block_fit(block):
+        design, rhs = system(block)
+        wd_t = np.swapaxes(design * theta[block, :, None], 1, 2)
+        gram = wd_t @ design
+        bad = _ill_conditioned(gram)
+        if bad.any():  # no solve: the caller raises
+            return bad, np.empty((len(gram), k, rhs.shape[2]))
+        return bad, np.linalg.solve(gram, wd_t @ rhs)
+
+    bad, coeffs = _by_blocks(block_fit, len(theta))
     if bad.any():
         raise FitIllConditioned(
             f"{what}: normal equations condition number exceeds {CONDITION_LIMIT:g} "
             f"at vertex {int(np.argmax(bad))}"
         )
-    return np.linalg.solve(gram, wd_t @ rhs)
+    return coeffs
 
 
 def second_fundamental_form(imm: DiscreteImmersion, frames: FrameField) -> FundamentalForms:
@@ -226,8 +306,11 @@ def second_fundamental_form(imm: DiscreteImmersion, frames: FrameField) -> Funda
     """
     n = imm.intrinsic_dim
     d = imm.codim
-    design = _quadratic_basis(frames.u, n)
-    coeffs = _weighted_lstsq(design, frames.w, frames.theta, "jet fit")
+
+    def system(block):
+        return _quadratic_basis(frames.u[block], n), frames.w[block]
+
+    coeffs = _weighted_lstsq(system, frames.theta, 1 + n + n * (n + 1) // 2, "jet fit")
 
     nv = imm.num_vertices
     h = np.zeros((nv, d, n, n))
@@ -308,7 +391,8 @@ def derivative_data(
     Neighbor components are parallel-transported to the center frame before
     fitting an affine model in the tangent coordinates; the slopes are the
     h^alpha_ijk.  The transport runs over all (vertex, neighbor) pairs at once,
-    in blocks of ``_PAIR_BLOCK`` pairs to bound the transient memory.
+    in blocks of ``_PAIR_BLOCK`` pairs to bound the transient memory, and the
+    fit in vertex blocks.
     """
     n = imm.intrinsic_dim
     d = imm.codim
@@ -324,20 +408,26 @@ def derivative_data(
     rv, rm = np.nonzero(mask & own)
     rhs[rv, rm] = forms.h[rv][:, :, rows, cols].reshape(-1, ncomp)
     pv, pm = np.nonzero(mask & ~own)
-    for start in range(0, len(pv), _PAIR_BLOCK):
-        v = pv[start : start + _PAIR_BLOCK]
-        m_i = pm[start : start + _PAIR_BLOCK]
+
+    def transport(block):
+        v, m_i = pv[block], pm[block]
         j = idx[v, m_i]
         tau, nu = _minimal_rotation_transport(
             frames.tangent[v], frames.normal[v], frames.tangent[j], frames.normal[j]
         )
         hj = np.einsum("pba,pli,pmk,paik->pblm", nu, tau, tau, forms.h[j])
         rhs[v, m_i] = hj[:, :, rows, cols].reshape(-1, ncomp)
+        return ()  # each block fills its own pairs of rhs
+
+    _by_blocks(transport, nv, len(pv), _PAIR_BLOCK)
 
     # affine model in normalized coordinates; slope recovers the derivative
-    design = np.concatenate([np.ones((nv, width, 1)), frames.u], axis=2)
-    rhs_scaled = rhs * sigma[:, None, None]
-    coeffs = _weighted_lstsq(design, rhs_scaled, frames.theta, "derivative fit")
+    def system(block):
+        u = frames.u[block]
+        design = np.concatenate([np.ones((len(u), width, 1)), u], axis=2)
+        return design, rhs[block] * sigma[block, None, None]
+
+    coeffs = _weighted_lstsq(system, frames.theta, 1 + n, "derivative fit")
     slopes = coeffs[:, 1:, :] / (sigma ** 2)[:, None, None]
 
     h_k = np.zeros((nv, d, n, n, n))

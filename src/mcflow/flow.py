@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy import sparse
 
 from .curvature import jet_forms
 from .errors import (
@@ -227,6 +226,7 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
     tens to hundreds of iterations, as dt/h^2 is large on a finely sampled
     curve.
     """
+    from scipy import sparse
     from scipy.sparse.linalg import splu
 
     imm = state.immersion

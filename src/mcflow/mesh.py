@@ -18,9 +18,12 @@ from __future__ import annotations
 import copy
 import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 from .errors import DegenerateElement, InvalidImmersion, ParseError, UnsupportedDimension
 
@@ -207,6 +210,8 @@ def laplace_beltrami(imm: DiscreteImmersion) -> sparse.csr_matrix:
     the lumped mass M = ``imm.vertex_weights`` the operator is
     Delta = M^{-1} (-S), and S is positive semidefinite.
     """
+    from scipy import sparse
+
     nv = imm.num_vertices
     if imm.intrinsic_dim == 1:
         w = 1.0 / imm.element_measures
@@ -299,6 +304,8 @@ class MeshTopology:
             raise ValueError("ring must be >= 1")
         if ring in self._ring_cache:
             return self._ring_cache[ring]
+        from scipy import sparse
+
         nv = self.num_vertices
         loops = np.arange(nv)
         heads = np.concatenate([self.edges[:, 0], self.edges[:, 1], loops])
@@ -364,11 +371,11 @@ def write_snapshot(imm: DiscreteImmersion, path, scalars: dict | None = None) ->
     path = str(path)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in data:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in data.tolist():  # Python floats: repr is the shortest round trip
+            fh.write(",".join(map(repr, row)) + "\n")
     with open(_sidecar_path(path), "w") as fh:
-        for el in imm.elements:
-            fh.write(" ".join(str(int(i)) for i in el) + "\n")
+        for el in imm.elements.tolist():
+            fh.write(" ".join(map(str, el)) + "\n")
 
 
 def read_snapshot(path):

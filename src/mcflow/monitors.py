@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import analytic
 from .curvature import (
@@ -161,6 +160,7 @@ def geodesic_diameter(imm: DiscreteImmersion) -> float:
     curves), t grows with the square of that hop count, so that u does not
     underflow to zero far from the source and leave X undefined there.
     """
+    from scipy import sparse
     from scipy.sparse.csgraph import shortest_path
     from scipy.sparse.linalg import splu
 

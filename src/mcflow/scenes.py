@@ -70,8 +70,8 @@ def icosphere(
     subspace=None,
 ) -> DiscreteImmersion:
     """Triangulated round sphere, optionally embedded in a larger ambient space."""
-    if not r0 > 0:
-        raise ValidationError("radius must be positive", field="r0")
+    if not (math.isfinite(r0) and r0 > 0):
+        raise ValidationError("radius must be positive and finite", field="r0")
     verts, faces = unit_sphere_mesh(subdiv)
     verts = verts * r0
     verts = _embed(verts, ambient_dim, subspace, center)
@@ -99,8 +99,8 @@ def polygon_circle(
     """Closed polygon inscribed in a circle; ``angles`` overrides uniform spacing."""
     if segments < 3:
         raise ValidationError("need at least 3 segments", field="segments")
-    if not r0 > 0:
-        raise ValidationError("radius must be positive", field="r0")
+    if not (math.isfinite(r0) and r0 > 0):
+        raise ValidationError("radius must be positive and finite", field="r0")
     if angles is None:
         angles = 2.0 * np.pi * np.arange(segments) / segments
     else:
@@ -121,8 +121,9 @@ def clifford_torus(
     extra_codim: int = 0,
 ) -> DiscreteImmersion:
     """S^1(a0) x S^1(b0) in R^4 as a triangulated parameter grid."""
-    if not (a0 > 0 and b0 > 0):
-        raise ValidationError("torus radii must be positive", field="a0")
+    for field, r in (("a0", a0), ("b0", b0)):
+        if not (math.isfinite(r) and r > 0):
+            raise ValidationError("torus radii must be positive and finite", field=field)
     if resolution < 3:
         raise ValidationError("resolution must be >= 3", field="resolution")
     if extra_codim < 0:

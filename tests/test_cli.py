@@ -22,8 +22,11 @@ from mcflow.scenes import icosphere
 
 
 def test_import_leaves_feature_subpackages_unloaded():
-    # scipy subpackages that only some features need; each loads on first use
+    # scipy subpackages load on first use; so does concurrent.futures (which
+    # loads logging), with the fit threads
     deferred = (
+        "concurrent.futures",
+        "scipy.sparse",
         "scipy.special",
         "scipy.integrate",
         "scipy.interpolate",

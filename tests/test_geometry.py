@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from conftest import random_rotation
+from mcflow import curvature
 from mcflow.curvature import (
     CONDITION_LIMIT,
     RING,
@@ -164,6 +170,21 @@ class TestValidation:
     def test_scene_constructors_check_their_values(self, build):
         with pytest.raises(ValidationError):
             build()
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: icosphere(subdiv=1, r0=math.inf), "r0"),
+            (lambda: polygon_circle(segments=8, r0=math.inf), "r0"),
+            (lambda: clifford_torus(math.inf, 1.0, resolution=8), "a0"),
+            (lambda: clifford_torus(1.0, math.inf, resolution=8), "b0"),
+        ],
+        ids=["icosphere", "polygon_circle", "clifford_torus_a0", "clifford_torus_b0"],
+    )
+    def test_infinite_radius_names_its_field(self, build, field):
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert info.value.field == field
 
     def test_inconsistent_orientation(self):
         imm = icosphere(subdiv=1)
@@ -637,7 +658,8 @@ def _per_pair_derivative_data(imm, frames, forms):
                 hj = np.einsum("ba,li,mk,aik->blm", nu, tau, tau, forms.h[j])
             rhs[v, m_i] = np.array([hj[a, i, jj] for a in range(d) for (i, jj) in pairs])
     design = np.concatenate([np.ones((nv, width, 1)), u], axis=2)
-    coeffs = _weighted_lstsq(design, rhs * sigma[:, None, None], theta, "derivative fit")
+    wd_t = np.swapaxes(design * theta[:, :, None], 1, 2)
+    coeffs = np.linalg.solve(wd_t @ design, wd_t @ (rhs * sigma[:, None, None]))
     slopes = coeffs[:, 1:, :] / (sigma ** 2)[:, None, None]
     h_k = np.zeros((nv, d, n, n, n))
     for col, (a, (i, jj)) in enumerate((a, pair) for a in range(d) for pair in pairs):
@@ -859,11 +881,194 @@ class TestConditioningScreen:
         design[4, :, 2] = design[4, :, 1]  # two equal columns: a singular Gram
         design[5, :, 2] = design[5, :, 1]
         theta = np.ones((6, 12))
+        rhs = rng.standard_normal((6, 12, 2))
         with pytest.raises(FitIllConditioned) as info:
-            _weighted_lstsq(design, rng.standard_normal((6, 12, 2)), theta, "jet fit")
+            _weighted_lstsq(lambda b: (design[b], rhs[b]), theta, 3, "jet fit")
         assert str(info.value) == (
             "jet fit: normal equations condition number exceeds 1e+12 at vertex 4"
         )
+
+
+def _fit_outputs(imm):
+    """Every array that jet_forms (build_frames, second_fundamental_form) and
+    derivative_data return for ``imm``, by name."""
+    frames, forms = jet_forms(imm)
+    deriv = derivative_data(imm, frames, forms)
+    return {
+        f"{kind}.{name}": value
+        for kind, obj in (("frames", frames), ("forms", forms), ("deriv", deriv))
+        for name, value in vars(obj).items()
+    }
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _with_tetrahedron(imm):
+    """``imm`` plus a disjoint small tetrahedron whose vertices come last: their
+    stencils hold 4 points, too few for the 6 coefficients of the jet fit."""
+    tet = 3.0 + 0.2 * np.array([[1.0, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+    faces = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]) + imm.num_vertices
+    return DiscreteImmersion(
+        vertices=np.vstack([imm.vertices, tet]),
+        elements=np.vstack([imm.elements, faces]),
+        intrinsic_dim=2,
+    )
+
+
+class TestVertexBlocks:
+    """The local fits run in vertex blocks, on the fit threads when a mesh
+    spans more than one block; results and failures are those of one block."""
+
+    ONE_BLOCK = 1 << 40
+
+    @pytest.mark.parametrize("block", [7, 128])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: _jittered_polygon(1024, 4, 5),
+            lambda: icosphere(subdiv=4, ambient_dim=5, subspace=_seeded_plane(5, 3, 7)),
+            lambda: clifford_torus(resolution=64),
+        ],
+        ids=["polygon1024_r4", "icosphere4_r5", "clifford64"],
+    )
+    def test_blocks_match_one_block(self, build, block, monkeypatch):
+        imm = build()
+        monkeypatch.setattr(curvature, "_VERTEX_BLOCK", self.ONE_BLOCK)
+        expected = _fit_outputs(imm)
+        monkeypatch.setattr(curvature, "_VERTEX_BLOCK", block)
+        pooled = []
+        real_executor = curvature._executor
+        monkeypatch.setattr(curvature, "_executor", lambda: pooled.append(1) or real_executor())
+        got = _fit_outputs(imm)
+        assert pooled  # the mesh spans several blocks, so they went to the pool
+        for name, value in expected.items():
+            assert _same_bits(got[name], value), name
+
+    def _messages(self, monkeypatch, error, call, blocks):
+        messages = []
+        for block in (self.ONE_BLOCK, *blocks):
+            monkeypatch.setattr(curvature, "_VERTEX_BLOCK", block)
+            with pytest.raises(error) as info:
+                call()
+            messages.append(str(info.value))
+        return messages
+
+    def test_rank_deficient_neighborhood_in_a_later_block(self, monkeypatch):
+        imm = grid_patch(m=12)
+        squashed = imm.vertices.copy()
+        squashed[108:, 1] = 0.0  # the last three grid rows collapse onto a line
+        flat = object.__new__(DiscreteImmersion)  # skips the element validation
+        flat.vertices = squashed
+        flat.elements = imm.elements
+        flat.intrinsic_dim = 2
+        flat.closed = False
+        messages = self._messages(
+            monkeypatch, NeighborhoodRankDeficient, lambda: build_frames(flat), (16, 5)
+        )
+        assert messages == ["rank-deficient neighborhood at vertex 120"] * 3
+
+    def test_underdetermined_fit_in_a_later_block(self, monkeypatch):
+        imm = _with_tetrahedron(icosphere(subdiv=2))
+        frames = build_frames(imm)
+        messages = self._messages(
+            monkeypatch, FitUnderdetermined, lambda: second_fundamental_form(imm, frames), (16,)
+        )
+        assert messages == ["jet fit: vertex 162 has 4 samples for 6 coefficients"] * 2
+
+    def test_ill_conditioned_fit_in_a_later_block(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        design = rng.standard_normal((40, 12, 3))
+        for v in (29, 35):  # two equal columns: a singular Gram
+            design[v, :, 2] = design[v, :, 1]
+        rhs = rng.standard_normal((40, 12, 2))
+        theta = np.ones((40, 12))
+
+        def fit():
+            _weighted_lstsq(lambda b: (design[b], rhs[b]), theta, 3, "jet fit")
+
+        messages = self._messages(monkeypatch, FitIllConditioned, fit, (8,))
+        assert messages == [
+            "jet fit: normal equations condition number exceeds 1e+12 at vertex 29"
+        ] * 2
+
+    def test_a_mesh_of_one_block_starts_no_thread(self):
+        probe = (
+            "import threading\n"
+            "from mcflow.curvature import derivative_data, jet_forms\n"
+            "from mcflow.scenes import clifford_torus, icosphere, polygon_circle\n"
+            "for imm in (icosphere(subdiv=3, ambient_dim=5),\n"
+            "            polygon_circle(1024, ambient_dim=4),\n"
+            "            clifford_torus(resolution=32)):  # V = 1024 in 5 pair blocks\n"
+            "    derivative_data(imm, *jet_forms(imm))\n"
+            "print(threading.active_count())\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "1"
+
+    def test_a_forked_child_makes_its_own_pool(self):
+        # the child has none of the parent's fit threads; a pool it inherited
+        # would take its blocks and never run them
+        probe = (
+            "import os, sys, time\n"
+            "from mcflow.curvature import jet_forms\n"
+            "from mcflow.scenes import icosphere\n"
+            "imm = icosphere(subdiv=4)\n"
+            "jet_forms(imm)\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    jet_forms(imm)\n"
+            "    os._exit(0)\n"
+            "deadline = time.monotonic() + 30\n"
+            "while time.monotonic() < deadline:\n"
+            "    done, status = os.waitpid(pid, os.WNOHANG)\n"
+            "    if done:\n"
+            "        sys.exit(os.waitstatus_to_exitcode(status))\n"
+            "    time.sleep(0.05)\n"
+            "os.kill(pid, 9)\n"
+            "os.waitpid(pid, 0)\n"
+            "sys.exit('the forked child did not finish its fit')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_one_cpu_fits_in_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(curvature, "_pool", None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert curvature._executor() is None
+
+    def test_concurrent_callers_share_the_fit_threads(self, monkeypatch):
+        meshes = [
+            icosphere(subdiv=2, ambient_dim=5, subspace=_seeded_plane(5, 3, seed))
+            for seed in range(4)
+        ]
+        expected = [_fit_outputs(imm) for imm in meshes]  # 162 vertices: one block
+        monkeypatch.setattr(curvature, "_VERTEX_BLOCK", 5)
+        results = [None] * len(meshes)
+
+        def fit(i):
+            results[i] = _fit_outputs(meshes[i])
+
+        callers = [threading.Thread(target=fit, args=(i,)) for i in range(len(meshes))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for got, want in zip(results, expected):
+            assert all(_same_bits(got[name], value) for name, value in want.items())
 
 
 class TestEquivariance:
@@ -915,6 +1120,25 @@ class TestEquivariance:
 
 
 class TestSnapshotIO:
+    def test_bytes_match_per_cell_formatting(self, tmp_path):
+        # values that print in scientific notation, and negative zero
+        imm = icosphere(subdiv=1)
+        nv = imm.num_vertices
+        scalars = {
+            "H2": np.full(nv, -0.0),
+            "A2": np.full(nv, 1e-20),
+            "Aring2": np.linspace(-1e-7, 1e22, nv),
+        }
+        path = tmp_path / "snap.csv"
+        write_snapshot(imm, path, scalars)
+        table = np.column_stack(
+            [imm.vertices, scalars["H2"], scalars["A2"], scalars["Aring2"], imm.vertex_weights]
+        )
+        rows = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in table)
+        assert path.read_text() == "x0,x1,x2,H2,A2,Aring2,weight\n" + rows
+        elements = "".join(" ".join(str(int(i)) for i in el) + "\n" for el in imm.elements)
+        assert (tmp_path / "snap.elements.txt").read_text() == elements
+
     def test_roundtrip(self, tmp_path):
         imm = icosphere(subdiv=1, r0=1.5)
         _, forms = jet_forms(imm)

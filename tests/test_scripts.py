@@ -33,3 +33,15 @@ def test_sphere_oracle_study(monkeypatch, capsys, tmp_path):
     assert lines[0].split()[0] == "subdiv" and lines[0].endswith("slope/16pi")
     assert lines[1].split()[:2] == ["2", "162"]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_step_scaling(monkeypatch, capsys):
+    script = load_script("step_scaling", monkeypatch)
+    script.SUBDIVS = (1, 2)
+    script.RECORDS = 2
+    script.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == [
+        "subdiv", "verts", "jet_forms", "ms", "step", "ms", "fit", "threads"
+    ]
+    assert [line.split()[:2] for line in lines[1:]] == [["1", "42"], ["2", "162"]]

@@ -55,12 +55,23 @@ SPHERE_AREA_TABLE, BALL_VOLUME_TABLE = _recurrence_tables()
 # ---------------------------------------------------------------------------
 # exact scenes
 
+def _check_closed_form(scene, field: str) -> None:
+    """Reject a scene whose closed-form record at t = 0 leaves the float range
+    (a dimension in the hundreds overflows the sphere area's gamma function)."""
+    try:
+        finite = all(map(math.isfinite, vars(scene.state(0.0)).values()))
+    except (OverflowError, PastSingularity):
+        finite = False
+    if not finite:
+        raise ValidationError("the closed form at t = 0 is out of float range", field=field)
+
+
 @dataclass(frozen=True)
 class SphereScene:
     """Round n-sphere of initial radius r0 centered at the origin of the
     coordinate (n+1)-plane of R^{n+d}."""
 
-    n: int
+    n: int = 2
     d: int = 1
     r0: float = 1.0
 
@@ -71,6 +82,7 @@ class SphereScene:
             raise ValidationError("codimension must be >= 1", field="d")
         if not 0 < self.r0 < math.inf:
             raise ValidationError("initial radius must be positive and finite", field="r0")
+        _check_closed_form(self, "n")
 
     @property
     def intrinsic_dim(self) -> int:
@@ -155,8 +167,8 @@ class SphereScene:
 class SphereProductScene:
     """S^p(a0) x S^q(b0) in R^{p+q+2+extra_codim}; both factors shrink."""
 
-    p: int
-    q: int
+    p: int = 1
+    q: int = 1
     a0: float = 1.0
     b0: float = 1.0
     extra_codim: int = 0
@@ -168,6 +180,7 @@ class SphereProductScene:
             raise ValidationError("factor radii must be positive and finite", field="a0")
         if self.extra_codim < 0:
             raise ValidationError("extra_codim must be >= 0", field="extra_codim")
+        _check_closed_form(self, "p")
 
     @property
     def n(self) -> int:

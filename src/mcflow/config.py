@@ -15,15 +15,23 @@ from .errors import ParseError, ValidationError
 from .flow import SchemeConfig, StopRule
 from .mesh import read_snapshot
 
-_SCENE_KEYS = {
-    "mesh_file": {"path"},
-    "icosphere": {"r0", "subdiv", "center", "ambient_dim", "embed_subspace", "perturbation"},
-    "polygon_circle": {"r0", "segments", "center", "ambient_dim", "embed_subspace", "perturbation"},
-    "ellipsoid": {"semi_axes", "subdiv", "center", "ambient_dim", "embed_subspace"},
-    "clifford_torus": {"a0", "b0", "resolution", "extra_codim"},
-    "analytic_sphere": {"n", "d", "r0"},
-    "analytic_sphere_product": {"p", "q", "a0", "b0", "extra_codim"},
+#: keys applied to a meshed scene after its constructor: perturb, then embed
+_AFTER_BUILD = {"perturbation", "ambient_dim", "embed_subspace", "center"}
+
+#: each kind: what builds it and the keys its JSON object may hold
+_SCENES = {
+    "mesh_file": (None, {"path"}),
+    "icosphere": (scenes.icosphere, {"r0", "subdiv", *_AFTER_BUILD}),
+    "polygon_circle": (scenes.polygon_circle, {"r0", "segments", *_AFTER_BUILD}),
+    "ellipsoid": (scenes.ellipsoid, {"semi_axes", "subdiv", *_AFTER_BUILD - {"perturbation"}}),
+    "clifford_torus": (scenes.clifford_torus, {"a0", "b0", "resolution", "extra_codim"}),
+    "analytic_sphere": (analytic.SphereScene, {"n", "d", "r0"}),
+    "analytic_sphere_product": (
+        analytic.SphereProductScene, {"p", "q", "a0", "b0", "extra_codim"}
+    ),
 }
+_COUNTS = {"subdiv", "segments", "resolution", "extra_codim", "n", "d", "p", "q", "ambient_dim"}
+_LENGTHS = {"r0", "a0", "b0"}
 
 
 def _section(value, allowed: set, where: str) -> dict:
@@ -46,6 +54,16 @@ def _number(value, field: str, integer: bool = False):
     return value
 
 
+def _scene_value(key: str, value):
+    """A scene's JSON value as its constructor takes it: counts as integers,
+    lengths as floats, arrays (``semi_axes``) as float arrays."""
+    if key in _COUNTS:
+        return _number(value, f"scene.{key}", integer=True)
+    if key in _LENGTHS:
+        return float(_number(value, f"scene.{key}"))
+    return _array(value, f"scene.{key}")
+
+
 def _array(value, field: str) -> np.ndarray | None:
     """A JSON array of numbers (nested for a matrix) as a float array; None stays None."""
     if value is None:
@@ -65,24 +83,9 @@ class SceneSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in _SCENE_KEYS:
+        if not isinstance(self.kind, str) or self.kind not in _SCENES:
             raise ValidationError(f"unknown scene kind {self.kind!r}", field="scene.kind")
-        _section(self.params, _SCENE_KEYS[self.kind], f"scene.{self.kind}")
-        self._validate_params()
-
-    def _validate_params(self):
-        # the constructors check every value they take; the perturbation's
-        # layout is all that is left
-        pert = self.params.get("perturbation")
-        if pert is None:
-            return
-        modes = _section(pert, {"modes"}, "scene.perturbation").get("modes")
-        modes = _array(modes, "scene.perturbation.modes")
-        if modes is None or modes.ndim != 2 or modes.shape[1] != 3 or len(modes) == 0:
-            raise ValidationError(
-                "perturbation requires modes, each [degree, order, amplitude]",
-                field="scene.perturbation.modes",
-            )
+        _section(self.params, _SCENES[self.kind][1], f"scene.{self.kind}")
 
     @classmethod
     def from_dict(cls, raw) -> "SceneSpec":
@@ -98,55 +101,26 @@ class SceneSpec:
 
     @functools.cached_property
     def body(self):
-        """The scene, built once: a DiscreteImmersion or an exact scene."""
+        """The scene, built once: a DiscreteImmersion or an exact scene. The
+        constructor supplies every value the JSON object leaves out."""
         p = self.params
-
-        def num(key, default, integer=False):
-            value = _number(p.get(key, default), f"scene.{key}", integer)
-            return value if integer else float(value)
-
-        if self.kind == "analytic_sphere":
-            return analytic.SphereScene(
-                n=num("n", 2, True), d=num("d", 1, True), r0=num("r0", 1.0)
-            )
-        if self.kind == "analytic_sphere_product":
-            return analytic.SphereProductScene(
-                p=num("p", 1, True),
-                q=num("q", 1, True),
-                a0=num("a0", 1.0),
-                b0=num("b0", 1.0),
-                extra_codim=num("extra_codim", 0, True),
-            )
         if self.kind == "mesh_file":
             if not isinstance(p.get("path"), str):
                 raise ValidationError("mesh_file requires a path", field="scene.path")
             imm, _ = read_snapshot(p["path"])
             return imm
-        if self.kind == "clifford_torus":
-            return scenes.clifford_torus(
-                a0=num("a0", 1.0),
-                b0=num("b0", 1.0),
-                resolution=num("resolution", 64, True),
-                extra_codim=num("extra_codim", 0, True),
-            )
-
-        if self.kind == "icosphere":
-            imm = scenes.icosphere(subdiv=num("subdiv", 3, True), r0=num("r0", 1.0))
-        elif self.kind == "ellipsoid":
-            imm = scenes.ellipsoid(
-                semi_axes=_array(p.get("semi_axes", [1.0, 1.0, 1.0]), "scene.semi_axes"),
-                subdiv=num("subdiv", 3, True),
-            )
-        else:
-            imm = scenes.polygon_circle(segments=num("segments", 128, True), r0=num("r0", 1.0))
+        build = _SCENES[self.kind][0]
+        body = build(**{k: _scene_value(k, v) for k, v in p.items() if k not in _AFTER_BUILD})
         if p.get("perturbation") is not None:
-            imm = scenes.perturb_radially(imm, [tuple(m) for m in p["perturbation"]["modes"]])
-        ambient = num("ambient_dim", imm.ambient_dim, True)
+            pert = _section(p["perturbation"], {"modes"}, "scene.perturbation")
+            modes = _array(pert.get("modes"), "scene.perturbation.modes")
+            body = scenes.perturb_radially(body, modes)
+        ambient = _scene_value("ambient_dim", p.get("ambient_dim", body.ambient_dim))
         subspace = _array(p.get("embed_subspace"), "scene.embed_subspace")
         center = _array(p.get("center"), "scene.center")
-        if ambient != imm.ambient_dim or subspace is not None or center is not None:
-            imm = scenes.embed_immersion(imm, ambient, subspace=subspace, center=center)
-        return imm
+        if ambient != body.ambient_dim or subspace is not None or center is not None:
+            body = scenes.embed_immersion(body, ambient, subspace=subspace, center=center)
+        return body
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **self.params}
@@ -175,6 +149,10 @@ class RunConfig:
     monitors: MonitorConfig
     snapshot_every: int = 10
     seed: int = 0
+
+    def __post_init__(self):
+        if self.snapshot_every < 0:
+            raise ValidationError("snapshot_every must be >= 0", field="snapshot_every")
 
     def to_dict(self) -> dict:
         stop = {}
@@ -224,22 +202,17 @@ def config_from_dict(raw: dict) -> RunConfig:
             field="stop.t_end",
         )
 
-    scheme_raw = _section(
+    # SchemeConfig supplies what the block leaves out, but curves redistribute
+    scheme_args = _section(
         raw.get("scheme", {}), {"scheme", "cfl", "dt_max", "redistribute_every"}, "scheme"
     )
-
-    def scheme_num(key, default, integer=False):
-        if key not in scheme_raw:
-            return default  # unchecked: dt_max's default inf means no cap
-        return _number(scheme_raw[key], f"scheme.{key}", integer)
-
-    scheme = SchemeConfig(
-        scheme=scheme_raw.get("scheme", "semi_implicit"),
-        cfl=float(scheme_num("cfl", 0.02)),
-        dt_max=float(scheme_num("dt_max", math.inf)),
-        redistribute_every=scheme_num("redistribute_every", 10 if n == 1 else 0, True),
-        stop=stop,
-    )
+    for key, integer in (("cfl", False), ("dt_max", False), ("redistribute_every", True)):
+        if key in scheme_args:
+            value = _number(scheme_args[key], f"scheme.{key}", integer)
+            scheme_args[key] = value if integer else float(value)
+    if n == 1:
+        scheme_args.setdefault("redistribute_every", 10)
+    scheme = SchemeConfig(**scheme_args, stop=stop)
 
     mon_raw = _section(raw.get("monitors", {}), {"a", "b", "p", "alpha"}, "monitors")
 
@@ -269,16 +242,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         alphas=alphas,
     )
 
-    snapshot_every = _number(raw.get("snapshot_every", 10), "snapshot_every", integer=True)
-    if snapshot_every < 0:
-        raise ValidationError("snapshot_every must be >= 0", field="snapshot_every")
-    return RunConfig(
-        scene=scene,
-        scheme=scheme,
-        monitors=monitors,
-        snapshot_every=snapshot_every,
-        seed=_number(raw.get("seed", 0), "seed", integer=True),
-    )
+    run_args = {k: _number(raw[k], k, True) for k in ("snapshot_every", "seed") if k in raw}
+    return RunConfig(scene=scene, scheme=scheme, monitors=monitors, **run_args)
 
 
 def _parse_json(text: str, what: str):

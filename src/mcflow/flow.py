@@ -56,6 +56,10 @@ class StopRule:
             raise ValidationError("step_cap must be >= 1", field="stop.step_cap")
 
 
+#: run_until raises MaxStepsExceeded rather than take more steps than this
+MAX_STEPS = 100_000
+
+
 @dataclass
 class SchemeConfig:
     """Step-size policy: dt = min(cfl / max|A|^2, dt_max), never past ``stop.t_end``;
@@ -67,7 +71,6 @@ class SchemeConfig:
     dt_max: float = math.inf
     redistribute_every: int = 0
     stop: StopRule = field(default_factory=lambda: StopRule(step_cap=100))
-    max_steps: int = 100_000
 
     def __post_init__(self):
         if self.scheme not in ("explicit", "semi_implicit"):
@@ -364,7 +367,7 @@ def run_until(
         if stop.step_cap is not None and accepted >= stop.step_cap:
             reason = "step_cap"
             break
-        if accepted >= cfg.max_steps:
+        if accepted >= MAX_STEPS:
             raise MaxStepsExceeded(f"no stop condition after {accepted} steps")
 
         dt = min(cfg.cfl / records[-1].a2_max, cfg.dt_max)

@@ -281,6 +281,8 @@ def rescale_trace(trace_dir, T_hat=None, center=None, out_dir=None) -> dict:
     dim = trace.snapshots[0].immersion.ambient_dim
     if center.shape != (dim,) or not np.isfinite(center).all():
         raise ValidationError(f"center must be {dim} finite coordinates", field="center")
+    if not np.isfinite(T_hat):
+        raise ValidationError(f"T_hat must be finite, not {T_hat}", field="T_hat")
     out_dir = os.path.join(str(trace_dir), "rescaled") if out_dir is None else str(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     series = []

@@ -9,6 +9,24 @@ import numpy as np
 from .errors import ValidationError
 from .mesh import DiscreteImmersion
 
+#: the most vertices a constructor builds (icosphere-8 has 655362); an
+#: embedding holds at most 8 coordinates per vertex of that count. Both are
+#: checked before anything is allocated.
+MAX_VERTICES = 2**20
+_MAX_COORDINATES = 8 * MAX_VERTICES
+
+
+def _check_vertex_count(count: int, field: str) -> None:
+    if count > MAX_VERTICES:
+        raise ValidationError(f"{field} gives more than {MAX_VERTICES} vertices", field=field)
+
+
+def _check_coordinate_count(vertices: int, ambient_dim: int, field: str) -> None:
+    if vertices * ambient_dim > _MAX_COORDINATES:
+        raise ValidationError(
+            f"{field} gives more than {_MAX_COORDINATES} vertex coordinates", field=field
+        )
+
 
 def _icosahedron():
     phi = (1.0 + math.sqrt(5.0)) / 2.0
@@ -55,6 +73,8 @@ def unit_sphere_mesh(subdiv: int):
     """Icosphere vertices on the unit sphere with 10*4^subdiv + 2 vertices."""
     if subdiv < 0:
         raise ValidationError("subdiv must be >= 0", field="subdiv")
+    # the clamp keeps a huge subdiv from costing a huge power
+    _check_vertex_count(10 * 4 ** min(subdiv, 16) + 2, "subdiv")
     verts, faces = _icosahedron()
     for _ in range(subdiv):
         verts, faces = _subdivide(verts, faces)
@@ -78,12 +98,14 @@ def icosphere(
     return DiscreteImmersion(vertices=verts, elements=faces, intrinsic_dim=2)
 
 
-def ellipsoid(semi_axes, subdiv: int = 3) -> DiscreteImmersion:
+def ellipsoid(semi_axes=(1.0, 1.0, 1.0), subdiv: int = 3) -> DiscreteImmersion:
     """Icosphere in R^3 stretched to the given semi-axes; ``embed_immersion``
     maps it into a larger ambient space."""
     axes = np.asarray(semi_axes, dtype=float)
-    if axes.shape != (3,) or not (axes > 0).all():
-        raise ValidationError("semi_axes must be three positive lengths", field="semi_axes")
+    if axes.shape != (3,) or not (np.isfinite(axes) & (axes > 0)).all():
+        raise ValidationError(
+            "semi_axes must be three positive finite lengths", field="semi_axes"
+        )
     verts, faces = unit_sphere_mesh(subdiv)
     return DiscreteImmersion(vertices=verts * axes, elements=faces, intrinsic_dim=2)
 
@@ -99,6 +121,7 @@ def polygon_circle(
     """Closed polygon inscribed in a circle; ``angles`` overrides uniform spacing."""
     if segments < 3:
         raise ValidationError("need at least 3 segments", field="segments")
+    _check_vertex_count(segments, "segments")
     if not (math.isfinite(r0) and r0 > 0):
         raise ValidationError("radius must be positive and finite", field="r0")
     if angles is None:
@@ -128,6 +151,8 @@ def clifford_torus(
         raise ValidationError("resolution must be >= 3", field="resolution")
     if extra_codim < 0:
         raise ValidationError("extra_codim must be >= 0", field="extra_codim")
+    _check_vertex_count(resolution**2, "resolution")
+    _check_coordinate_count(resolution**2, 4 + extra_codim, "extra_codim")
     m = resolution
     phi = 2.0 * np.pi * np.arange(m) / m
     psi = 2.0 * np.pi * np.arange(m) / m
@@ -158,6 +183,7 @@ def clifford_torus(
 
 def _embed(verts, ambient_dim, subspace, center):
     base_dim = verts.shape[1]
+    _check_coordinate_count(len(verts), ambient_dim, "ambient_dim")
     if subspace is not None:
         q = np.asarray(subspace, dtype=float)
         if q.shape != (ambient_dim, base_dim):
@@ -206,12 +232,34 @@ def real_spherical_harmonic(degree: int, order: int, theta, phi):
 def perturb_radially(imm: DiscreteImmersion, modes) -> DiscreteImmersion:
     """Scale each vertex radius about the origin by 1 + sum of harmonic modes.
 
-    ``modes`` is a list of (degree, order, amplitude); Fourier modes on
-    curves (order ignored sign: cos for order >= 0, sin otherwise).
-    The summed amplitude must stay below 0.3 of the minimum radius factor.
+    ``modes`` is a list of (degree, order, amplitude) with integer degree >= 0;
+    on a surface the real Y_lm with |order| <= degree, on a curve a Fourier
+    mode (order ignored sign: cos for order >= 0, sin otherwise). The mesh
+    must sample each degree: (l + 1)^2 <= V on a surface, 2k + 1 <= V on a
+    curve. The summed amplitude must stay below 0.3 of the minimum radius factor.
     """
-    total = sum(abs(m[2]) for m in modes)
-    if not total < 0.3:
+    modes = np.asarray(modes, dtype=float)
+    if modes.ndim != 2 or modes.shape[1] != 3 or len(modes) == 0:
+        raise ValidationError(
+            "perturbation requires modes, each [degree, order, amplitude]", field="modes"
+        )
+    surface = imm.intrinsic_dim == 2
+    v = imm.num_vertices
+    top = math.isqrt(v) - 1 if surface else (v - 1) // 2  # the highest degree sampled
+    lm = modes[:, :2]
+    if not (
+        (np.floor(lm) == lm).all()
+        and (lm[:, 0] >= 0).all()
+        and (lm[:, 0] <= top).all()
+        and (not surface or (np.abs(lm[:, 1]) <= lm[:, 0]).all())
+    ):
+        rule = "(l+1)^2 <= V and |order| <= degree" if surface else "2k+1 <= V"
+        raise ValidationError(
+            f"each mode needs an integer degree and order with {rule}; V = {v} samples "
+            f"degrees 0 to {top}, not {lm.tolist()}",
+            field="modes",
+        )
+    if not np.abs(modes[:, 2]).sum() < 0.3:
         raise ValidationError(
             "perturbation amplitude must stay below 0.3 of the radius", field="modes"
         )
@@ -219,7 +267,7 @@ def perturb_radially(imm: DiscreteImmersion, modes) -> DiscreteImmersion:
     # polar/azimuthal angles from the first three embedding coordinates
     phi = np.arctan2(x[:, 1], x[:, 0])
     factor = np.ones(imm.num_vertices)
-    if imm.intrinsic_dim == 2:
+    if surface:
         theta = np.arccos(np.clip(x[:, 2] / np.linalg.norm(x, axis=1), -1.0, 1.0))
         for degree, order, amp in modes:
             factor += amp * real_spherical_harmonic(int(degree), int(order), theta, phi)

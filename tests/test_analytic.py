@@ -184,6 +184,21 @@ class TestSphereState:
         with pytest.raises(ValidationError):
             make(r)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: SphereScene(n=1000),
+            lambda: SphereScene(n=10**400),
+            lambda: SphereScene(n=2, r0=1e-200),
+            lambda: SphereProductScene(p=2**62),
+            lambda: SphereProductScene(p=40, a0=1e10),
+        ],
+        ids=["n_1000", "n_10_400", "collapse_time_underflows", "p_2_62", "vol_overflows"],
+    )
+    def test_closed_form_out_of_float_range_rejected(self, make):
+        with pytest.raises(ValidationError):
+            make()
+
     @settings(max_examples=30, deadline=None)
     @given(
         n=st.integers(1, 6),

@@ -5,16 +5,19 @@ import platform
 import shutil
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcflow import cli, config as config_mod, curvature, runner
 from mcflow.analytic import SphereScene
 from mcflow.config import config_from_dict, load_config, parse_scene
-from mcflow.errors import ParseError, UnknownQuantity, ValidationError
+from mcflow.errors import McflowError, ParseError, UnknownQuantity, ValidationError
 from mcflow.flow import FlowTrace
 from mcflow.mesh import DiscreteImmersion, write_snapshot
 from mcflow.monitors import VIOLATED
@@ -167,6 +170,22 @@ CONFIG_MISTAKES = {
     "cfl_infinite": _small_run(scheme={"cfl": math.inf}),
     "max_a2_infinite": _small_run(stop={"maxA2": math.inf}),
     "semi_axis_infinite": _small_run({"kind": "ellipsoid", "semi_axes": [1.0, math.inf, 1.0]}),
+    # modes the mesh cannot sample, or that are no harmonic (degree 1e9 ran
+    # for minutes; the others added a zero or a non-periodic perturbation)
+    "mode_degree_1e9": _small_run({**SPHERE, "perturbation": {"modes": [[1e9, 0, 0.05]]}}),
+    "mode_order_above_degree": _small_run({**SPHERE, "perturbation": {"modes": [[2, 5, 0.05]]}}),
+    "mode_negative_degree": _small_run({**SPHERE, "perturbation": {"modes": [[-2, 0, 0.05]]}}),
+    "mode_fractional_degree": _small_run({**SPHERE, "perturbation": {"modes": [[2.5, 0, 0.05]]}}),
+    "curve_mode_fractional": _small_run({**GON, "perturbation": {"modes": [[2.5, 0, 0.05]]}}),
+    "curve_mode_above_sampling": _small_run({**GON, "perturbation": {"modes": [[8, 0, 0.05]]}}),
+    # sizes above scenes.MAX_VERTICES, or too many coordinates
+    "segments_2_62": _small_run({**GON, "segments": 2**62}),
+    "subdiv_2_62": _small_run({**SPHERE, "subdiv": 2**62}),
+    "torus_resolution_2_31": _small_run({"kind": "clifford_torus", "resolution": 2**31}),
+    "torus_extra_codim_2_62": _small_run(
+        {"kind": "clifford_torus", "resolution": 8, "extra_codim": 2**62}
+    ),
+    "ambient_dim_2_62": _small_run({**SPHERE, "ambient_dim": 2**62}),
 }
 
 
@@ -178,6 +197,43 @@ def test_config_mistake_exits_4_before_the_run_directory(tmp_path, capsys, raw):
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 4
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+#: JSON values for the fuzz: small sizes, sentinels (1e999 is inf, as json
+#: reads it), booleans, strings, null and nested lists of them
+_FUZZ_VALUES = st.recursive(
+    st.one_of(
+        st.integers(0, 4),
+        st.sampled_from([-1, 0, 2**62, 10**400, math.nan, math.inf, -math.inf, 1e999, 0.5]),
+        st.booleans(),
+        st.text(max_size=3),
+        st.none(),
+    ),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=10,
+)
+_FUZZ_SCENES = sorted(kind for kind in config_mod._SCENES if kind != "mesh_file")
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=2))
+@given(data=st.data())
+def test_fuzzed_config_builds_or_raises_a_package_error(data):
+    # a package error exits 4 or 3; any other exception is a traceback
+    kind = data.draw(st.sampled_from(_FUZZ_SCENES))
+    keys = sorted(config_mod._SCENES[kind][1])
+    scene = data.draw(st.dictionaries(st.sampled_from(keys), _FUZZ_VALUES, max_size=4))
+    if "perturbation" in scene and data.draw(st.booleans()):
+        scene["perturbation"] = {"modes": scene["perturbation"]}
+    scheme_keys = ["scheme", "cfl", "dt_max", "redistribute_every"]
+    scheme = data.draw(st.dictionaries(st.sampled_from(scheme_keys), _FUZZ_VALUES, max_size=2))
+    run = data.draw(
+        st.dictionaries(st.sampled_from(["snapshot_every", "seed"]), _FUZZ_VALUES, max_size=2)
+    )
+    raw = {"scene": {"kind": kind, **scene}, "scheme": scheme, "stop": {"step_cap": 1}, **run}
+    try:
+        config_from_dict(raw)
+    except McflowError:
+        pass
 
 
 def _replace_line(k, edit):
@@ -511,15 +567,25 @@ def r5_trace_dir(tmp_path_factory):
     [
         (["rescale", "--center", "1,2"], 4),
         (["rescale", "--center", "a,b,c"], 4),
+        (["rescale", "--T-hat", "nan"], 4),
+        (["rescale", "--T-hat", "inf"], 4),
         (["plot", "--vars", "aring_x"], 4),
         (["plot", "--vars", "st_integral_x"], 4),
     ],
-    ids=["center_length", "center_letters", "aring_suffix", "st_integral_suffix"],
+    ids=[
+        "center_length",
+        "center_letters",
+        "t_hat_nan",
+        "t_hat_inf",
+        "aring_suffix",
+        "st_integral_suffix",
+    ],
 )
 def test_bad_rescale_and_plot_arguments_exit_cleanly(r5_trace_dir, capsys, argv, code):
     assert cli.main([argv[0], "--trace", str(r5_trace_dir), *argv[1:]]) == code
     err = capsys.readouterr().err
     assert err.startswith("config error" if code == 4 else "numerical failure")
+    assert not (r5_trace_dir / "rescaled").exists()
 
 
 def test_rescale_of_a_truncated_snapshot_exits_4(r5_trace_dir, tmp_path, capsys):

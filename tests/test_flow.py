@@ -277,16 +277,18 @@ class TestRunUntil:
         trace = run_until(FlowState(immersion=icosphere4), cfg)
         assert trace.records[-1].t == pytest.approx(0.0123, abs=1e-12)
 
-    def test_max_steps_safety(self):
+    def test_max_steps_safety(self, monkeypatch):
+        monkeypatch.setattr(flow, "MAX_STEPS", 5)
         imm = icosphere(subdiv=1)
-        cfg = SchemeConfig(cfl=1e-6, stop=StopRule(t_end=1e9), max_steps=5)
+        cfg = SchemeConfig(cfl=1e-6, stop=StopRule(t_end=1e9))
         with pytest.raises(MaxStepsExceeded):
             run_until(FlowState(immersion=imm), cfg)
 
-    def test_exact_scene_past_collapse_hits_max_steps(self):
+    def test_exact_scene_past_collapse_hits_max_steps(self, monkeypatch):
         # the collapse clip halves dt toward T = 0.25, so t_end = 0.5 never
         # fires; the step guard must end the run
-        cfg = SchemeConfig(stop=StopRule(t_end=0.5), max_steps=500)
+        monkeypatch.setattr(flow, "MAX_STEPS", 500)
+        cfg = SchemeConfig(stop=StopRule(t_end=0.5))
         with pytest.raises(MaxStepsExceeded):
             run_until(FlowState(immersion=SphereScene(n=2)), cfg)
 

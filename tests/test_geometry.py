@@ -45,6 +45,7 @@ from mcflow.mesh import (
     write_snapshot,
 )
 from mcflow.scenes import (
+    MAX_VERTICES,
     clifford_torus,
     ellipsoid,
     embed_immersion,
@@ -156,6 +157,14 @@ class TestValidation:
             lambda: clifford_torus(math.nan, 1.0, resolution=8),
             lambda: clifford_torus(resolution=8, extra_codim=-1),
             lambda: perturb_radially(icosphere(subdiv=1), [(2, 0, math.nan)]),
+            lambda: ellipsoid([1.0, math.inf, 1.0], subdiv=1),
+            # sizes above MAX_VERTICES vertices or 8 * MAX_VERTICES coordinates,
+            # rejected before anything is allocated
+            lambda: icosphere(subdiv=9),
+            lambda: polygon_circle(segments=MAX_VERTICES + 1),
+            lambda: clifford_torus(resolution=1025),
+            lambda: clifford_torus(resolution=8, extra_codim=2**17),
+            lambda: embed_immersion(icosphere(subdiv=1), 2**18),
         ],
         ids=[
             "nan_radius",
@@ -165,6 +174,12 @@ class TestValidation:
             "nan_torus_radius",
             "negative_extra_codim",
             "nan_amplitude",
+            "inf_semi_axis",
+            "subdiv_9",
+            "segments_above_ceiling",
+            "resolution_1025",
+            "torus_extra_codim_2_17",
+            "ambient_dim_2_18",
         ],
     )
     def test_scene_constructors_check_their_values(self, build):
@@ -185,6 +200,18 @@ class TestValidation:
         with pytest.raises(ValidationError) as info:
             build()
         assert info.value.field == field
+
+    @pytest.mark.parametrize(
+        "base, degree, order",
+        [(icosphere(subdiv=1), 5, -5), (polygon_circle(segments=16), 7, -1)],
+        ids=["surface", "curve"],
+    )
+    def test_perturbation_takes_the_highest_degree_the_mesh_samples(self, base, degree, order):
+        # (l+1)^2 = 36 <= 42 vertices on the surface, 2k+1 = 15 <= 16 on the curve
+        perturb_radially(base, [(degree, order, 0.05)])
+        with pytest.raises(ValidationError) as info:
+            perturb_radially(base, [(degree + 1, order, 0.05)])
+        assert info.value.field == "modes"
 
     def test_inconsistent_orientation(self):
         imm = icosphere(subdiv=1)

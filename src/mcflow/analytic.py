@@ -9,6 +9,7 @@ constants and runs the zonal-function inequality checkers by quadrature.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -50,6 +51,14 @@ def _recurrence_tables():
 
 #: gamma-free cross-check values for n <= 16 (guards constant-convention bugs)
 SPHERE_AREA_TABLE, BALL_VOLUME_TABLE = _recurrence_tables()
+
+#: the logarithm of the largest float
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _log(x: float) -> float:
+    """ln x for x >= 0, -inf at 0."""
+    return math.log(x) if x > 0 else -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +122,9 @@ class SphereScene:
         )
 
     def form_components(self, t: float) -> np.ndarray:
-        """Second-fundamental-form components (d, n, n) in the canonical frame:
-        umbilic with one active normal, zeros in the flat normal directions."""
-        h = np.zeros((self.d, self.n, self.n))
-        h[0] = np.eye(self.n) / self.state(t).r
-        return h
+        """Second-fundamental-form components (1, n, n) of the one active normal
+        in the canonical frame, umbilic; the other d - 1 normals are flat."""
+        return (np.eye(self.n) / self.state(t).r)[None]
 
     def diameter(self, t: float) -> float:
         """Intrinsic diameter at time t: half a great circle."""
@@ -133,34 +140,59 @@ class SphereScene:
         return 2.0 * self.n ** 2 / st.r ** 4 / st.a2 ** 2
 
     def spacetime_integral(self, alpha: float, t_end: float) -> float:
-        """Accumulated integral of |H|^alpha over M x [0, t_end]."""
+        """Accumulated integral of |H|^alpha over M x [0, t_end]; ValidationError
+        when it leaves the float range."""
+        log_value = self._log_spacetime_integral(alpha, t_end)
+        if log_value >= _LOG_FLOAT_MAX:
+            raise ValidationError(
+                f"the spacetime integral of |H|^{alpha:g} leaves the float range", field="alpha"
+            )
+        if t_end == 0:
+            return 0.0
+        n, T = self.n, self.collapse_time
+        area = unit_sphere_area(n)
+        # the product rounds less than exp of the logarithm, which serves only
+        # where a factor overflows
+        try:
+            if alpha == n + 2:
+                return (n ** (n + 1) * area / 2.0) * math.log(T / (T - t_end))
+            k = n - alpha + 2.0
+            r = math.sqrt(self.r0 ** 2 - 2.0 * n * t_end)
+            return n ** (alpha - 1) * area * r ** k * math.expm1(k * math.log(self.r0 / r)) / k
+        except OverflowError:
+            return math.exp(log_value)
+
+    def _log_spacetime_integral(self, alpha: float, t_end: float) -> float:
+        """Natural logarithm of ``spacetime_integral``, summed from the logarithms
+        of its factors so that none overflows; -inf where the integral is 0."""
         if alpha < 1:
             raise ValidationError("alpha must be >= 1", field="alpha")
         T = self.collapse_time
         if not 0 <= t_end < T:
             raise PastSingularity(f"t_end={t_end} outside [0, {T})")
-        if t_end == 0:
-            return 0.0
         n = self.n
-        area = unit_sphere_area(n)
+        log_scale = (alpha - 1) * math.log(n) + math.log(unit_sphere_area(n))
         if alpha == n + 2:
-            return (n ** (n + 1) * area / 2.0) * math.log(T / (T - t_end))
-        # |H| = n/r with r^2 = r0^2 - 2ns, so with k = n - alpha + 2 the
-        # integral of n^alpha |S^n| r^(n - alpha) ds is
-        # n^(alpha-1) |S^n| (r0^k - r^k)/k; expm1 keeps it accurate as k -> 0
+            return log_scale + _log(0.5 * math.log(T / (T - t_end)))
+        # |H| = n/r with r^2 = r0^2 - 2ns, so with k = n - alpha + 2 the integral
+        # of n^alpha |S^n| r^(n - alpha) ds is n^(alpha-1) |S^n| r^k expm1(x)/k,
+        # x = k ln(r0/r); x and k share a sign, and expm1 stays accurate as k -> 0
         k = n - alpha + 2.0
         r = math.sqrt(self.r0 ** 2 - 2.0 * n * t_end)
-        return n ** (alpha - 1) * area * r ** k * math.expm1(k * math.log(self.r0 / r)) / k
+        x = k * math.log(self.r0 / r)
+        log_expm1 = max(x, 0.0) + _log(-math.expm1(-abs(x)))  # ln |expm1(x)|
+        return log_scale + k * math.log(r) + log_expm1 - math.log(abs(k))
 
     def oracle_record(self, t: float) -> dict:
-        """Closed-form state at time t as a JSON-ready record."""
+        """Closed-form state at time t as a JSON-ready record; the spacetime norm
+        is finite where the integral itself leaves the float range."""
+        record = {"kind": "sphere", "t": t, **asdict(self.state(t))}
         alpha = self.n + 2.0
-        return {
-            "kind": "sphere",
-            "t": t,
-            **asdict(self.state(t)),
-            "spacetime_norm_n_plus_2": self.spacetime_integral(alpha, t) ** (1.0 / alpha),
-        }
+        try:
+            norm = self.spacetime_integral(alpha, t) ** (1.0 / alpha)
+        except ValidationError:
+            norm = math.exp(self._log_spacetime_integral(alpha, t) / alpha)
+        return {**record, "spacetime_norm_n_plus_2": norm}
 
 
 @dataclass(frozen=True)
@@ -223,10 +255,10 @@ class SphereProductScene:
         )
 
     def form_components(self, t: float) -> np.ndarray:
-        """Second-fundamental-form components (d, n, n) in the canonical frame:
-        one diagonal block per factor normal, zeros in the extra normals."""
+        """Second-fundamental-form components (2, n, n) of the two factor normals
+        in the canonical frame, one diagonal block each; the extra normals are flat."""
         st = self.state(t)
-        h = np.zeros((self.d, self.n, self.n))
+        h = np.zeros((2, self.n, self.n))
         h[0, : self.p, : self.p] = np.eye(self.p) / st.a
         h[1, self.p :, self.p :] = np.eye(self.q) / st.b
         return h

@@ -30,6 +30,14 @@ _SCENES = {
         analytic.SphereProductScene, {"p", "q", "a0", "b0", "extra_codim"}
     ),
 }
+#: each scheme key, and the type its JSON number is read as (None: the scheme name)
+_SCHEME_KEYS = {"scheme": None, "cfl": float, "dt_max": float, "redistribute_every": int}
+#: each stop key: its StopRule field, and whether it is an integer
+_STOP_KEYS = {
+    "t_end": ("t_end", False), "maxA2": ("max_a2", False), "step_cap": ("step_cap", True)
+}
+#: each monitors key, and its MonitorConfig field
+_MONITOR_KEYS = {"a": "a", "b": "b", "p": "p_list", "alpha": "alphas"}
 _COUNTS = {"subdiv", "segments", "resolution", "extra_codim", "n", "d", "p", "q", "ambient_dim"}
 _LENGTHS = {"r0", "a0", "b0"}
 
@@ -134,12 +142,7 @@ class MonitorConfig:
     alphas: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "p": list(self.p_list),
-            "alpha": list(self.alphas),
-        }
+        return {key: getattr(self, name) for key, name in _MONITOR_KEYS.items()}
 
 
 @dataclass(frozen=True)
@@ -155,28 +158,16 @@ class RunConfig:
             raise ValidationError("snapshot_every must be >= 0", field="snapshot_every")
 
     def to_dict(self) -> dict:
-        stop = {}
-        if self.scheme.stop.t_end is not None:
-            stop["t_end"] = self.scheme.stop.t_end
-        if self.scheme.stop.max_a2 is not None:
-            stop["maxA2"] = self.scheme.stop.max_a2
-        if self.scheme.stop.step_cap is not None:
-            stop["step_cap"] = self.scheme.stop.step_cap
-        out = {
+        stop = {key: getattr(self.scheme.stop, name) for key, (name, _) in _STOP_KEYS.items()}
+        scheme = {key: getattr(self.scheme, key) for key in _SCHEME_KEYS}
+        return {
             "scene": self.scene.to_dict(),
-            "scheme": {
-                "scheme": self.scheme.scheme,
-                "cfl": self.scheme.cfl,
-                "redistribute_every": self.scheme.redistribute_every,
-            },
-            "stop": stop,
+            "scheme": {k: v for k, v in scheme.items() if v != math.inf},  # dt_max: no cap
+            "stop": {k: v for k, v in stop.items() if v is not None},
             "monitors": self.monitors.to_dict(),
             "snapshot_every": self.snapshot_every,
             "seed": self.seed,
         }
-        if math.isfinite(self.scheme.dt_max):
-            out["scheme"]["dt_max"] = self.scheme.dt_max
-        return out
 
 
 def config_from_dict(raw: dict) -> RunConfig:
@@ -187,15 +178,12 @@ def config_from_dict(raw: dict) -> RunConfig:
     n = body.intrinsic_dim
 
     # StopRule rejects a missing or empty stop block
-    stop_raw = _section(raw.get("stop", {}), {"t_end", "maxA2", "step_cap"}, "stop")
-
-    def stop_num(key, integer=False):
-        value = stop_raw.get(key)
-        return None if value is None else _number(value, f"stop.{key}", integer)
-
-    stop = StopRule(
-        t_end=stop_num("t_end"), max_a2=stop_num("maxA2"), step_cap=stop_num("step_cap", True)
-    )
+    stop_raw = _section(raw.get("stop", {}), set(_STOP_KEYS), "stop")
+    stop = StopRule(**{
+        name: _number(stop_raw[key], f"stop.{key}", integer)
+        for key, (name, integer) in _STOP_KEYS.items()
+        if stop_raw.get(key) is not None
+    })
     if scene.is_analytic and stop.t_end is not None and stop.t_end >= body.collapse_time:
         raise ValidationError(
             f"t_end={stop.t_end:g} is not before the collapse time {body.collapse_time:g}",
@@ -203,18 +191,15 @@ def config_from_dict(raw: dict) -> RunConfig:
         )
 
     # SchemeConfig supplies what the block leaves out, but curves redistribute
-    scheme_args = _section(
-        raw.get("scheme", {}), {"scheme", "cfl", "dt_max", "redistribute_every"}, "scheme"
-    )
-    for key, integer in (("cfl", False), ("dt_max", False), ("redistribute_every", True)):
-        if key in scheme_args:
-            value = _number(scheme_args[key], f"scheme.{key}", integer)
-            scheme_args[key] = value if integer else float(value)
+    scheme_args = _section(raw.get("scheme", {}), set(_SCHEME_KEYS), "scheme")
+    for key, kind in _SCHEME_KEYS.items():
+        if key in scheme_args and kind is not None:
+            scheme_args[key] = kind(_number(scheme_args[key], f"scheme.{key}", kind is int))
     if n == 1:
         scheme_args.setdefault("redistribute_every", 10)
     scheme = SchemeConfig(**scheme_args, stop=stop)
 
-    mon_raw = _section(raw.get("monitors", {}), {"a", "b", "p", "alpha"}, "monitors")
+    mon_raw = _section(raw.get("monitors", {}), set(_MONITOR_KEYS), "monitors")
 
     def mon_list(key, default):
         values = mon_raw.get(key, default)

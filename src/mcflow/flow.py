@@ -62,9 +62,8 @@ MAX_STEPS = 100_000
 
 @dataclass
 class SchemeConfig:
-    """Step-size policy: dt = min(cfl / max|A|^2, dt_max), never past ``stop.t_end``;
-    the explicit scheme also keeps dt <= min_i M_i / S_ii of the current state, the
-    Gershgorin bound of forward Euler on M x' = -S x (h^2 / 2 on a curve of spacing h)."""
+    """Step-size policy: dt = min(cfl / max|A|^2, dt_max, the scheme's own bound),
+    never past ``stop.t_end``; ``scheme`` names an entry of ``SCHEMES``."""
 
     scheme: str = "semi_implicit"
     cfl: float = 0.02
@@ -73,12 +72,13 @@ class SchemeConfig:
     stop: StopRule = field(default_factory=lambda: StopRule(step_cap=100))
 
     def __post_init__(self):
-        if self.scheme not in ("explicit", "semi_implicit"):
+        if not isinstance(self.scheme, str) or self.scheme not in SCHEMES:
             raise ValidationError(f"unknown scheme {self.scheme!r}", field="scheme")
         if not self.cfl > 0:
             raise ValidationError("cfl must be positive", field="cfl")
-        if self.scheme == "explicit" and self.cfl > 0.5:
-            raise ValidationError("explicit scheme requires cfl <= 0.5", field="cfl")
+        _, _, max_cfl = SCHEMES[self.scheme]
+        if self.cfl > max_cfl:
+            raise ValidationError(f"{self.scheme} scheme requires cfl <= {max_cfl:g}", field="cfl")
         if not self.dt_max > 0:
             raise ValidationError("dt_max must be positive", field="dt_max")
         if self.redistribute_every < 0:
@@ -293,6 +293,30 @@ def redistribute(imm: DiscreteImmersion) -> DiscreteImmersion:
 # ---------------------------------------------------------------------------
 # driver
 
+#: each scheme a config may name, as (step, dt_bound, max_cfl): ``step(state, dt,
+#: view)`` returns the next state (``view`` is the state's ``state_view``) from a
+#: module function called by name, so that a wrapper on it sees every step;
+#: ``dt_bound(state)`` caps dt and ``max_cfl`` the cfl.  The explicit bound is
+#: Gershgorin's for forward Euler on M x' = -S x (h^2 / 2 on a curve of spacing h).
+SCHEMES = {
+    "explicit": (
+        lambda state, dt, view: step_explicit(state, dt, h_field=view.forms.mean_curvature),
+        lambda st: float(np.min(st.immersion.vertex_weights / st.immersion.stiffness.diagonal())),
+        0.5,
+    ),
+    "semi_implicit": (
+        lambda state, dt, view: step_semi_implicit(state, dt), lambda st: math.inf, math.inf
+    ),
+}
+
+#: an exact scene's entry, traced as scheme "analytic": dt at most half the time left
+ANALYTIC = (
+    lambda state, dt, view: FlowState(state.immersion, state.t + dt, state.step_index + 1),
+    lambda state: 0.5 * (state.immersion.collapse_time - state.t),
+    math.inf,
+)
+
+
 def run_until(
     state: FlowState,
     cfg: SchemeConfig,
@@ -303,7 +327,8 @@ def run_until(
 ) -> FlowTrace:
     """Advance the flow until the stop rule fires, recording each accepted step.
 
-    ``state.immersion`` is a mesh or an exact scene.  Steps shrink as
+    ``state.immersion`` is a mesh, stepped by its ``SCHEMES`` entry, or an
+    exact scene, stepped by ``ANALYTIC``.  Steps shrink as
     curvature concentrates (see ``SchemeConfig``), so the driver approaches
     the maximal time from below; element collapse ends a mesh run with a
     ``singular`` verdict instead of surgery.  An exact scene is sampled from
@@ -315,6 +340,7 @@ def run_until(
     mesh = isinstance(body, DiscreteImmersion)
     n = body.intrinsic_dim
     scheme = cfg.scheme if mesh else "analytic"
+    step, dt_bound, _ = SCHEMES[scheme] if mesh else ANALYTIC
     snapshot_every = snapshot_every if mesh else 0
     alphas = tuple(alphas) or (float(n + 2),)
     accumulators = {a: SpacetimeAccumulator(alpha=a) for a in alphas}
@@ -332,9 +358,10 @@ def run_until(
         habs = np.sqrt(np.clip(view.h2, 0.0, None))
         integrals = {}
         for a, acc in accumulators.items():
-            acc.update(float(view.weights @ habs ** a), dt)
-            exact = None if mesh else body.spacetime_integral(a, st.t)
-            integrals[a] = acc.value if exact is None else exact
+            integral = None if mesh else body.spacetime_integral(a, st.t)  # a closed form
+            if integral is None:
+                integral = acc.update(float(view.weights @ habs ** a), dt).value
+            integrals[a] = integral
         records.append(
             TraceRecord(
                 t=st.t,
@@ -355,10 +382,11 @@ def run_until(
         return view
 
     view = observe(state, 0.0)
+    stop = cfg.stop
+    t_end = math.inf if stop.t_end is None else stop.t_end
     accepted = 0
     while True:
-        stop = cfg.stop
-        if stop.t_end is not None and state.t >= stop.t_end - 1e-14:
+        if state.t >= t_end - 1e-14:
             reason = "t_end"
             break
         if stop.max_a2 is not None and records[-1].a2_max >= stop.max_a2:
@@ -370,28 +398,15 @@ def run_until(
         if accepted >= MAX_STEPS:
             raise MaxStepsExceeded(f"no stop condition after {accepted} steps")
 
-        dt = min(cfg.cfl / records[-1].a2_max, cfg.dt_max)
-        if mesh and cfg.scheme == "explicit":
-            imm = state.immersion
-            dt = min(dt, float(np.min(imm.vertex_weights / imm.stiffness.diagonal())))
-        if stop.t_end is not None:
-            dt = min(dt, stop.t_end - state.t)
-
+        dt = min(cfg.cfl / records[-1].a2_max, cfg.dt_max, dt_bound(state), t_end - state.t)
         accepted += 1
-        if mesh:
-            try:
-                if cfg.scheme == "explicit":
-                    state = step_explicit(state, dt, h_field=view.forms.mean_curvature)
-                else:
-                    state = step_semi_implicit(state, dt)
-            except StepRejected as exc:
-                status, reason = "singular", f"step rejected: {exc}"
-                break
-            if n == 1 and cfg.redistribute_every and accepted % cfg.redistribute_every == 0:
-                state = FlowState(redistribute(state.immersion), state.t, state.step_index)
-        else:
-            dt = min(dt, 0.5 * (body.collapse_time - state.t))  # never step past collapse
-            state = FlowState(body, state.t + dt, state.step_index + 1)
+        try:
+            state = step(state, dt, view)
+        except StepRejected as exc:
+            status, reason = "singular", f"step rejected: {exc}"
+            break
+        if mesh and n == 1 and cfg.redistribute_every and accepted % cfg.redistribute_every == 0:
+            state = FlowState(redistribute(state.immersion), state.t, state.step_index)
         del view  # the old fit and its stencil need not outlive the step
         view = observe(state, dt)
 

@@ -125,6 +125,10 @@ def run(config: RunConfig, out_dir) -> int:
         manifest["error"] = f"{type(exc).__name__}: {exc}"
         _dump(manifest, manifest_path)
         return EXIT_NUMERICAL
+    except KeyboardInterrupt:
+        manifest["status"] = "interrupted"
+        _dump(manifest, manifest_path)
+        raise
 
     violated = [
         r.name for r in reports if r.verdict == VIOLATED

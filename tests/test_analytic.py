@@ -305,6 +305,32 @@ class TestSpacetimeNorm:
                 quad, _ = integrate.quad(integrand, 0.0, t_end, limit=200)
                 assert scene.spacetime_integral(alpha, t_end) == pytest.approx(quad, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_logarithm_matches_closed_form(self, n):
+        scene = SphereScene(n=n, r0=1.3)
+        for alpha in (1.0, n + 1.5, n + 2.0, n + 2.0 + 1e-9, n + 6.0, 40.0):
+            for frac in (1e-12, 0.1, 0.9, 0.999999):
+                t_end = frac * scene.collapse_time
+                value = scene.spacetime_integral(alpha, t_end)
+                assert scene._log_spacetime_integral(alpha, t_end) == pytest.approx(
+                    math.log(value), rel=1e-13, abs=1e-13
+                )
+
+    def test_integral_evaluates_where_a_factor_overflows(self):
+        # n^(n+1) is past the float range, the integral (about e^593) is not
+        scene = SphereScene(n=150)
+        t_end = 0.5 * scene.collapse_time
+        value = scene.spacetime_integral(152.0, t_end)
+        assert math.log(value) == pytest.approx(
+            151 * math.log(150) + math.log(unit_sphere_area(150) * 0.5 * math.log(2.0)),
+            rel=1e-14,
+        )
+
+    def test_integral_past_the_float_range_raises(self):
+        with pytest.raises(ValidationError) as err:
+            SphereScene(n=2).spacetime_integral(2000.0, 0.1)
+        assert err.value.field == "alpha"
+
     def test_quadrature_route_matches_log_formula(self):
         # the closed form (expm1 route) evaluated just off alpha = n+2
         scene = SphereScene(n=2, r0=1.3)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import platform
+import resource
 import shutil
 import subprocess
 import sys
@@ -160,6 +161,8 @@ CONFIG_MISTAKES = {
     "alpha_string": _small_run(monitors={"alpha": "x"}),
     "p_below_one": _small_run(monitors={"p": [0.5]}),
     "scheme_ring_unknown": _small_run(scheme={"ring": 2}),
+    "scheme_list": _small_run(scheme={"scheme": []}),
+    "scheme_number": _small_run(scheme={"scheme": 3}),
     "mode_of_two_numbers": _small_run({**GON, "perturbation": {"modes": [[2, 0]]}}),
     "scene_string": _small_run("abc"),
     "t_end_nan": _small_run(stop={"t_end": math.nan}),
@@ -443,6 +446,55 @@ class TestRun:
         assert manifest["status"] == "failed"
         assert "FitUnderdetermined" in manifest["error"]
 
+    @pytest.mark.parametrize(
+        "scene, monitors",
+        [
+            ({"kind": "analytic_sphere", "n": 300}, {}),
+            ({"kind": "analytic_sphere"}, {"alpha": [2000.0]}),
+        ],
+        ids=["sphere_n300", "alpha_2000"],
+    )
+    def test_exact_integral_out_of_float_range_fails_the_run(self, tmp_path, scene, monitors):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps({"scene": scene, "stop": {"step_cap": 2}, "monitors": monitors})
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
+        manifest = json.loads((out / "MANIFEST.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"].startswith("ValidationError: the spacetime integral")
+
+    def test_exact_scene_of_huge_codimension_runs_in_bounded_memory(self, tmp_path):
+        # the run allocates per active normal, not per codimension; the address
+        # space cap makes a (d, n, n) allocation fail at once instead of paging
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(
+                {"scene": {"kind": "analytic_sphere", "d": 10**9}, "stop": {"step_cap": 2}}
+            )
+        )
+        out = tmp_path / "out"
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+            "OPENBLAS_NUM_THREADS": "1",  # each BLAS thread's stack counts against the cap
+        }
+        argv = ["run", "--config", str(cfg_path), "--out", str(out)]
+        done = subprocess.run(
+            [sys.executable, "-m", "mcflow.cli", *argv],
+            env=env,
+            preexec_fn=cap_address_space,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads((out / "MANIFEST.json").read_text())["status"] == "complete"
+
     def test_reproducible_byte_identical(self, tmp_path):
         cfg = config_from_dict(minimal_config(seed=3))
         runner.run(cfg, tmp_path / "a")
@@ -473,7 +525,7 @@ class TestRun:
         for line in lines:
             json.loads(line)
         manifest = json.loads((out / "MANIFEST.json").read_text())
-        assert manifest["status"] == "running"
+        assert manifest["status"] == "interrupted"
 
 
 @pytest.fixture(scope="module")
@@ -693,6 +745,12 @@ class TestCliEntry:
         assert code == 0
         record = json.loads(capsys.readouterr().out)
         assert record["h2"] == pytest.approx(18.0, rel=1e-10)
+
+    def test_oracle_norm_is_finite_past_the_float_range_of_its_integral(self, capsys):
+        scene = '{"kind": "analytic_sphere", "n": 300}'
+        assert cli.main(["oracle", "--scene", scene, "--t", "0.0001"]) == 0
+        norm = json.loads(capsys.readouterr().out)["spacetime_norm_n_plus_2"]
+        assert math.isfinite(norm) and norm > 0
 
     @pytest.mark.parametrize("r0", ["1e999", "Infinity"])
     def test_oracle_of_an_infinite_radius_exits_4(self, capsys, r0):

@@ -371,7 +371,7 @@ class TestRunUntil:
         run_until(FlowState(immersion=icosphere(subdiv=2)), cfg)
         assert len(computed) == steps + 1  # the initial immersion, then one per step
 
-    @pytest.mark.parametrize("scheme", ["semi_implicit", "explicit"])
+    @pytest.mark.parametrize("scheme", sorted(flow.SCHEMES))
     @pytest.mark.parametrize(
         "monitors", [None, {"p_list": (1.0, 2.0, 4.0), "alphas": (4.0, 5.0)}]
     )

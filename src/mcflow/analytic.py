@@ -26,6 +26,7 @@ from .errors import (
 # ---------------------------------------------------------------------------
 # sphere area / ball volume constants
 
+@lru_cache(maxsize=64)
 def unit_sphere_area(n: int) -> float:
     """Surface measure of the unit n-sphere in R^{n+1}."""
     if n < 0:
@@ -129,15 +130,6 @@ class SphereScene:
     def diameter(self, t: float) -> float:
         """Intrinsic diameter at time t: half a great circle."""
         return math.pi * self.state(t).r
-
-    def quadratic_growth_threshold(self, t: float) -> float:
-        """Smallest c1 with d|A|^2/dt <= Laplacian(|A|^2) + c1 |A|^4 at time t.
-
-        |A|^2 is spatially constant, so the Laplacian term vanishes; spheres
-        sit exactly at the threshold 2.
-        """
-        st = self.state(t)
-        return 2.0 * self.n ** 2 / st.r ** 4 / st.a2 ** 2
 
     def spacetime_integral(self, alpha: float, t_end: float) -> float:
         """Accumulated integral of |H|^alpha over M x [0, t_end]; ValidationError
@@ -268,12 +260,6 @@ class SphereProductScene:
         st = self.state(t)
         return math.pi * math.hypot(st.a, st.b)
 
-    def quadratic_growth_threshold(self, t: float) -> float:
-        """Smallest c1 with d|A|^2/dt <= Laplacian(|A|^2) + c1 |A|^4 at time t."""
-        st = self.state(t)
-        du = 2.0 * self.p ** 2 / st.a ** 4 + 2.0 * self.q ** 2 / st.b ** 4
-        return du / st.a2 ** 2
-
     def spacetime_integral(self, alpha: float, t_end: float) -> None:
         """No closed form; flow drivers accumulate the integral themselves."""
         return None
@@ -304,6 +290,7 @@ class SphereProductState:
     T: float
 
 
+@lru_cache(maxsize=64)
 def hoffman_spruck_constant(n: int, alpha: float, b_real: bool = True) -> float:
     """Explicit submanifold Sobolev constant C(n, alpha).
 
@@ -352,27 +339,58 @@ class ZonalFunction:
 
     @property
     def _slope(self) -> list:
-        """Coefficients of dv/d(cos theta), high degree first for np.polyval;
-        k * a_k are the products numpy.polynomial's polyder forms."""
+        """Coefficients of dv/d(cos theta), low degree first; k * a_k are the
+        products numpy.polynomial's polyder forms."""
         a = self.coefficients
-        return [k * a[k] for k in range(len(a) - 1, 0, -1)]
+        return [k * a[k] for k in range(1, len(a))]
+
+    def _jet(self, cos, sin):
+        """v and dv/dtheta = -sin(theta) v'(cos theta) at the angles with these
+        cosines and sines."""
+        return _horner(self.coefficients, cos), -sin * _horner(self._slope, cos)
 
     def value(self, theta):
-        c = np.cos(np.asarray(theta, dtype=float))
-        return np.polyval(self.coefficients[::-1], c)
+        return _horner(self.coefficients, np.cos(np.asarray(theta, dtype=float)))
 
     __call__ = value
 
     def theta_derivative(self, theta):
         theta = np.asarray(theta, dtype=float)
-        return -np.sin(theta) * np.polyval(self._slope, np.cos(theta))
+        return self._jet(np.cos(theta), np.sin(theta))[1]
 
     def minimum(self) -> float:
         """Exact minimum over the sphere: over c = cos(theta) in [-1, 1] it
         sits at an end or at a real critical point of the polynomial."""
-        critical = np.clip(np.roots(self._slope).real, -1.0, 1.0)
+        critical = np.clip(_roots(self._slope).real, -1.0, 1.0)
         c = np.concatenate(([-1.0, 1.0], critical))
-        return float(np.polyval(self.coefficients[::-1], c).min())
+        return float(_horner(self.coefficients, c).min())
+
+
+def _horner(coefficients, x):
+    """sum_k coefficients[k] x^k (low degree first), rounded as np.polyval
+    rounds it: y = y * x + c from y = 0, highest degree first."""
+    y = np.zeros_like(x)
+    for c in reversed(coefficients):
+        y = y * x + c
+    return y
+
+
+def _roots(coefficients) -> np.ndarray:
+    """The roots np.roots finds for sum_k coefficients[k] x^k (low degree
+    first): the eigenvalues of the companion matrix of the polynomial without
+    its zero leading coefficients, then one 0 per zero lowest coefficient."""
+    nonzero = [k for k, c in enumerate(coefficients) if c != 0]
+    if not nonzero:
+        return np.zeros(0)
+    low, high = nonzero[0], nonzero[-1]
+    p = np.array(coefficients[low : high + 1][::-1])  # high degree first
+    if len(p) > 1:
+        companion = np.diag(np.ones(len(p) - 2), -1)
+        companion[0] = -p[1:] / p[0]
+        roots = np.linalg.eigvals(companion)
+    else:
+        roots = np.zeros(0)
+    return np.concatenate((roots, np.zeros(low, roots.dtype)))
 
 
 @lru_cache(maxsize=64)
@@ -405,10 +423,13 @@ def zonal_integral(fn, scene: SphereScene, t: float, order: int = 64) -> float:
     return _zonal_sum(np.asarray(fn(theta), dtype=float), w, r, scene.n)
 
 
+@lru_cache(maxsize=64)
 def _zonal_jet(v: ZonalFunction, order: int, n: int):
     """Weights of the rule, and v and dv/dtheta at its nodes."""
     _, w, cos, sin = _zonal_rule(order, n)
-    return w, np.polyval(v.coefficients[::-1], cos), -sin * np.polyval(v._slope, cos)
+    vals, dvals = v._jet(cos, sin)
+    vals.flags.writeable = dvals.flags.writeable = False  # shared through the cache
+    return w, vals, dvals
 
 
 @dataclass(frozen=True)
@@ -446,9 +467,10 @@ def calibrated_sobolev_constant(n: int) -> float:
     return worst
 
 
+@lru_cache(maxsize=64)
 def _sobolev_integrals(n, st, v, order):
     """(lp, grad2, l2): the integrals of |v|^{2n/(n-2)}, |grad v|^2 and v^2
-    over the n-sphere in state st."""
+    over the n-sphere in state st; the checkers at one (v, t, order) share them."""
     w, vals, dvals = _zonal_jet(v, order, n)
     exponent = 2.0 * n / (n - 2.0)
     lp = _zonal_sum(np.abs(vals) ** exponent, w, st.r, n)

@@ -57,6 +57,10 @@ class ZeroMeanCurvature(McflowError):
     """Mean curvature vanishes where a positive lower bound is required."""
 
 
+class NonFiniteValue(McflowError):
+    """A number bound for a JSON artifact is NaN or infinite, which JSON cannot hold."""
+
+
 class ParseError(McflowError):
     """A configuration or mesh file does not parse (not JSON, not a numeric table)."""
 

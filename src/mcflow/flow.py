@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .mesh import DiscreteImmersion
-from .monitors import SpacetimeAccumulator, StateView, lp_norm, state_view
+from .monitors import SpacetimeAccumulator, StateView, lp_norm, power_sum, state_view
 
 
 @dataclass
@@ -360,7 +360,8 @@ def run_until(
         for a, acc in accumulators.items():
             integral = None if mesh else body.spacetime_integral(a, st.t)  # a closed form
             if integral is None:
-                integral = acc.update(float(view.weights @ habs ** a), dt).value
+                integrand, log_integrand = power_sum(habs, a, view.weights)
+                integral = acc.update(integrand, dt, log_integrand).value
             integrals[a] = integral
         records.append(
             TraceRecord(

@@ -23,7 +23,7 @@ from .curvature import (
     derivative_data,
     jet_forms,
 )
-from .errors import UnsupportedDimension, WindowNotCovered
+from .errors import UnsupportedDimension, ValidationError, WindowNotCovered
 from .mesh import DiscreteImmersion
 
 #: squared-curvature scale below which derivative fits are treated as noise
@@ -49,25 +49,70 @@ def lp_norm(values: np.ndarray, p: float, weights: np.ndarray) -> float:
     return float((weights @ np.abs(values) ** p) ** (1.0 / p))
 
 
+def power_sum(habs: np.ndarray, alpha: float, weights: np.ndarray) -> tuple:
+    """(sum w |H|^alpha, its logarithm where the sum overflows, else None) for
+    nonnegative ``habs``; the overflow raises no numpy warning."""
+    with np.errstate(over="ignore"):
+        total = float(weights @ habs ** alpha)
+    if total < math.inf:
+        return total, None
+    with np.errstate(divide="ignore"):
+        logs = np.log(weights) + alpha * np.log(habs)
+    top = logs.max()
+    return total, float(top + np.log(np.exp(logs - top).sum()))
+
+
 @dataclass
 class SpacetimeAccumulator:
-    """Running trapezoid-rule value of the spacetime |H|^alpha integral."""
+    """Running trapezoid-rule value of the spacetime |H|^alpha integral.
+
+    A step whose direct sum overflows is summed from the logarithms of its
+    integrands; ValidationError once the integral leaves the float range.
+    """
 
     alpha: float
     value: float = 0.0
     last_integrand: float | None = None
+    last_log: float | None = None  # ln last_integrand where that overflowed
 
     def __post_init__(self):
         if self.alpha < 1:
             raise ValueError("alpha must be >= 1")
 
-    def update(self, integrand: float, dt: float) -> "SpacetimeAccumulator":
+    def update(
+        self, integrand: float, dt: float, log_integrand: float | None = None
+    ) -> "SpacetimeAccumulator":
+        """Add the trapezoid up to ``integrand``; pass ``log_integrand`` where
+        the integrand is inf (see ``power_sum``)."""
         if dt < 0:
             raise ValueError("dt must be nonnegative")
         if self.last_integrand is not None and dt > 0:
-            self.value += 0.5 * dt * (self.last_integrand + integrand)
-        self.last_integrand = integrand
+            step = 0.5 * dt * (self.last_integrand + integrand)
+            if step == math.inf:
+                step = _exp(math.log(0.5 * dt) + float(np.logaddexp(
+                    _ln(self.last_integrand, self.last_log), _ln(integrand, log_integrand)
+                )))
+            self.value += step
+            if self.value == math.inf:
+                raise ValidationError(
+                    f"the spacetime integral of |H|^{self.alpha:g} leaves the float range",
+                    field="alpha",
+                )
+        self.last_integrand, self.last_log = integrand, log_integrand
         return self
+
+
+def _ln(value: float, log_value: float | None) -> float:
+    """log_value where given, else ln value (-inf at 0)."""
+    return analytic._log(value) if log_value is None else log_value
+
+
+def _exp(x: float) -> float:
+    """e^x, inf past the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass

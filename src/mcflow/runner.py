@@ -24,6 +24,7 @@ from .config import RunConfig, SceneSpec, _parse_json
 from .curvature import codazzi_residual, gauss_residual, tracefree_decompose
 from .errors import (
     McflowError,
+    NonFiniteValue,
     ParseError,
     UnknownQuantity,
     ValidationError,
@@ -56,10 +57,18 @@ EXIT_NUMERICAL = 3
 EXIT_CONFIG = 4
 
 
+def _json(obj, indent=None) -> str:
+    """Standard JSON text of obj, keys sorted; NonFiniteValue for a NaN or inf."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=indent, allow_nan=False, default=_jsonable)
+    except ValueError as exc:
+        raise NonFiniteValue(str(exc)) from None
+
+
 def _dump(obj, path):
+    text = _json(obj, indent=2)  # before the file opens, so a refusal leaves it whole
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2, default=_jsonable)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _jsonable(value):
@@ -100,7 +109,7 @@ def run(config: RunConfig, out_dir) -> int:
         with open(trace_path, "w") as fh:
 
             def emit(rec):
-                fh.write(json.dumps(vars(rec), sort_keys=True) + "\n")
+                fh.write(_json(vars(rec)) + "\n")
                 fh.flush()
 
             trace = run_until(

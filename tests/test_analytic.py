@@ -426,6 +426,16 @@ class TestZonal:
         assert ZonalFunction((0.5, -2.0)).minimum() == -1.5
         assert ZonalFunction((2.0,)).minimum() == 2.0
 
+    @pytest.mark.parametrize(
+        "coefficients",
+        [(), (0.0, 0.0), (3.0,), (0.0, 2.0), (1.0, -2.0, 0.0, 0.0), (0.0, 0.0, 1.5, -0.5, 0.25),
+         (0.0, 1.0, 0.0, -3.0, 0.0), (2.0, -1.0, 0.5, 0.3)],
+    )
+    def test_roots_are_those_np_roots_finds(self, coefficients):
+        got = analytic._roots(list(coefficients))
+        want = np.roots(list(coefficients)[::-1])
+        assert sorted(got.tolist(), key=repr) == sorted(want.tolist(), key=repr)
+
     def test_quadrature_exact_volume(self):
         for n in (2, 3, 4, 5):
             scene = SphereScene(n=n, r0=1.3)
@@ -564,19 +574,49 @@ class TestSobolevCheckers:
             sobolev_check_zonal(scene, 0.0, ZonalFunction((1.0,)), "gradient_lower_bound", s=1.0)
 
 
-class TestEvolutionThreshold:
-    def test_sphere_threshold_is_two(self):
-        scene = SphereScene(n=2, r0=1.0)
-        for t in (0.0, 0.1, 0.2):
-            assert scene.quadratic_growth_threshold(t) == pytest.approx(2.0, rel=1e-12)
-        assert SphereScene(n=5, r0=2.0).quadratic_growth_threshold(0.3) == pytest.approx(
-            2.0, rel=1e-12
-        )
+class TestSharedCache:
+    """The checkers at one (v, t, order) share the jet and the integrals."""
 
-    def test_product_threshold_hand_value(self):
-        scene = SphereProductScene(p=1, q=1, a0=1.0, b0=1.0)
-        # u = 2, du/dt = 4 at t = 0
-        assert scene.quadratic_growth_threshold(0.0) == pytest.approx(1.0, rel=1e-13)
+    POINT = (SphereScene(n=4, r0=1.3), 0.05, ZonalFunction((2.0, 0.3, -0.2, 0.1)), 64)
+
+    @staticmethod
+    def _reports(scene, t, v, order):
+        return [
+            sobolev_check_zonal(scene, t, v, "hoffman_spruck", order=order),
+            sobolev_check_zonal(scene, t, v, "gradient_lower_bound", s=0.7, order=order),
+            sobolev_check_zonal(scene, t, v, "curvature_weighted", order=order),
+            sobolev_check_zonal(scene, t, v, "curvature_weighted", c_n=1.7, order=order),
+        ]
+
+    @staticmethod
+    def _clear():
+        for cached in (
+            analytic._zonal_jet,
+            analytic._sobolev_integrals,
+            analytic.unit_sphere_area,
+            analytic.hoffman_spruck_constant,
+        ):
+            cached.cache_clear()
+
+    def test_one_point_computes_the_jet_and_the_integrals_once(self):
+        scene, t, v, order = self.POINT
+        calibrated_sobolev_constant(scene.n)  # its battery has a cache of its own
+        self._clear()
+        self._reports(scene, t, v, order)
+        assert analytic._zonal_jet.cache_info().misses == 1
+        assert analytic._sobolev_integrals.cache_info().misses == 1
+
+    def test_cached_arrays_are_read_only(self):
+        scene, _, v, order = self.POINT
+        for array in analytic._zonal_jet(v, order, scene.n):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_reports_are_equal_before_and_after_cache_clear(self):
+        first = self._reports(*self.POINT)
+        self._clear()
+        assert self._reports(*self.POINT) == first
+        assert self._reports(*self.POINT) == first  # now from the cache
 
 
 class TestFlowConsistency:

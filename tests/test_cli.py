@@ -6,6 +6,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import warnings
 from datetime import timedelta
 from pathlib import Path
 
@@ -15,10 +16,16 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcflow import cli, config as config_mod, curvature, runner
+from mcflow import cli, config as config_mod, curvature, flow, runner
 from mcflow.analytic import SphereScene
 from mcflow.config import config_from_dict, load_config, parse_scene
-from mcflow.errors import McflowError, ParseError, UnknownQuantity, ValidationError
+from mcflow.errors import (
+    McflowError,
+    NonFiniteValue,
+    ParseError,
+    UnknownQuantity,
+    ValidationError,
+)
 from mcflow.flow import FlowTrace
 from mcflow.mesh import DiscreteImmersion, write_snapshot
 from mcflow.monitors import VIOLATED
@@ -464,6 +471,40 @@ class TestRun:
         manifest = json.loads((out / "MANIFEST.json").read_text())
         assert manifest["status"] == "failed"
         assert manifest["error"].startswith("ValidationError: the spacetime integral")
+
+    def test_mesh_integral_out_of_float_range_fails_the_run(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_small_run(SPHERE, monitors={"alpha": [2000.0]})))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning among them
+            assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
+        manifest = json.loads((out / "MANIFEST.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"].startswith("ValidationError: the spacetime integral")
+        for line in (out / "trace.ndjson").read_text().splitlines():
+            json.loads(line, parse_constant=pytest.fail)  # no NaN or Infinity
+
+    def test_non_finite_trace_value_fails_the_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(flow, "power_sum", lambda habs, a, weights: (math.nan, None))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_small_run(SPHERE)))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
+        manifest = json.loads((out / "MANIFEST.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"].startswith("NonFiniteValue")
+        (line,) = (out / "trace.ndjson").read_text().splitlines()  # t = 0: integral 0
+        assert json.loads(line)["st_integral_alpha"] == {"4.0": 0.0}
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_dump_refuses_a_non_finite_number_and_keeps_the_file(self, tmp_path, value):
+        path = tmp_path / "summary.json"
+        runner._dump({"x": 1.0}, path)
+        before = path.read_text()
+        with pytest.raises(NonFiniteValue):
+            runner._dump({"x": np.array([1.0, value])}, path)
+        assert path.read_text() == before
 
     def test_exact_scene_of_huge_codimension_runs_in_bounded_memory(self, tmp_path):
         # the run allocates per active normal, not per codimension; the address

@@ -17,7 +17,7 @@ from mcflow.analytic import (
     unit_ball_volume,
     unit_sphere_area,
 )
-from mcflow.errors import UnsupportedDimension, WindowNotCovered
+from mcflow.errors import UnsupportedDimension, ValidationError, WindowNotCovered
 from mcflow.flow import FlowTrace, TraceRecord
 from mcflow.mesh import DiscreteImmersion
 from mcflow.monitors import (
@@ -32,6 +32,7 @@ from mcflow.monitors import (
     moser_ratio,
     pinching_andrews_baker,
     pinching_linear,
+    power_sum,
     state_view,
 )
 from mcflow.flow import FlowState, SchemeConfig, StopRule, run_until
@@ -90,6 +91,27 @@ class TestSpacetimeAccumulator:
             acc.update(integrand, dt)
             assert acc.value >= last
             last = acc.value
+
+    def test_power_sum_is_the_direct_sum_where_it_is_finite(self):
+        habs, weights = np.array([0.0, 2.0, 3.0]), np.array([0.2, 0.5, 0.25])
+        assert power_sum(habs, 4.0, weights) == (float(weights @ habs ** 4.0), None)
+        total, log_total = power_sum(habs, 700.0, weights)  # 3^700 = e^769
+        assert total == math.inf
+        want = np.logaddexp(math.log(0.5) + 700 * math.log(2.0), math.log(0.25) + 700 * math.log(3.0))
+        assert log_total == pytest.approx(want, rel=1e-14)
+
+    def test_overflowing_step_is_summed_from_logarithms(self):
+        acc = SpacetimeAccumulator(alpha=4.0)
+        acc.update(math.inf, 0.0, 710.0)
+        acc.update(math.inf, 1e-3, 712.0)
+        want = 0.5e-3 * math.exp(700.0) * (math.exp(10.0) + math.exp(12.0))
+        assert acc.value == pytest.approx(want, rel=1e-12)
+        acc.update(1e300, 1e-3)  # a finite end after an overflowed one
+        step = 0.5e-3 * math.exp(700.0) * (math.exp(12.0) + 1e300 * math.exp(-700.0))
+        assert acc.value == pytest.approx(want + step, rel=1e-12)
+        with pytest.raises(ValidationError) as err:
+            acc.update(math.inf, 1.0, 720.0)
+        assert err.value.field == "alpha"
 
     def test_sphere_run_matches_closed_form(self):
         scene, trace = synthetic_sphere_trace(steps=600)

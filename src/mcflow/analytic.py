@@ -67,9 +67,11 @@ def _log(x: float) -> float:
 
 def _check_closed_form(scene, field: str) -> None:
     """Reject a scene whose closed-form record at t = 0 leaves the float range
-    (a dimension in the hundreds overflows the sphere area's gamma function)."""
+    (a dimension in the hundreds overflows the sphere area's gamma function,
+    and a small radius to that power underflows the volume)."""
     try:
-        finite = all(map(math.isfinite, vars(scene.state(0.0)).values()))
+        st = scene.state(0.0)
+        finite = all(map(math.isfinite, vars(st).values())) and st.vol > 0
     except (OverflowError, PastSingularity):
         finite = False
     if not finite:

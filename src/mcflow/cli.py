@@ -6,7 +6,6 @@ Exit codes: 0 ok, 2 monitor violation, 3 numerical failure, 4 config error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -60,14 +59,15 @@ def main(argv=None) -> int:
         if args.command == "check":
             scene = parse_scene(args.scene) if args.scene else None
             reports, code = runner.check_suite(args.suite, scene, fast=not args.full)
+            text = runner._json([vars(r) for r in reports])
             for rep in reports:
                 print(f"{rep.verdict:>13}  {rep.name}")
-            print(json.dumps([vars(r) for r in reports], sort_keys=True))
+            print(text)
             return code
 
         if args.command == "oracle":
             record = runner.oracle_record(parse_scene(args.scene), args.t)
-            print(json.dumps(record, sort_keys=True))
+            print(runner._json(record))
             return runner.EXIT_OK
 
         if args.command == "rescale":
@@ -80,7 +80,7 @@ def main(argv=None) -> int:
             result = runner.rescale_trace(
                 args.trace, T_hat=args.t_hat, center=center, out_dir=args.out
             )
-            print(json.dumps({k: result[k] for k in ("T_hat", "center")}, sort_keys=True))
+            print(runner._json({k: result[k] for k in ("T_hat", "center")}))
             return runner.EXIT_OK
 
         if args.command == "plot":

@@ -240,6 +240,8 @@ def _parse_json(text: str, what: str):
             line=exc.lineno,
             column=exc.colno,
         ) from exc
+    except ValueError as exc:  # an integer too long for int(), which says so
+        raise ParseError(f"invalid {what}: {exc}") from exc
 
 
 def load_config(path) -> RunConfig:

@@ -26,7 +26,7 @@ from .errors import (
     NeighborhoodRankDeficient,
     UnsupportedDimension,
 )
-from .mesh import DiscreteImmersion, angle_defects
+from .mesh import RING, DiscreteImmersion, angle_defects
 
 #: conditioning threshold on the normal equations of the local fits
 CONDITION_LIMIT = 1e12
@@ -34,9 +34,6 @@ CONDITION_LIMIT = 1e12
 #: the Cholesky screen of the fits clears a Gram only when its bounded
 #: condition number is this fraction of CONDITION_LIMIT or less
 _SCREEN_MARGIN = 0.5
-
-#: graph radius of the neighborhood stencil that both local fits read
-RING = 2
 
 #: (vertex, neighbor) pairs transported per block in derivative_data; blocks
 #: bound the transient memory and leave every pair's arithmetic unchanged
@@ -178,7 +175,7 @@ def build_frames(imm: DiscreteImmersion) -> FrameField:
     the neighborhoods in those frames."""
     n, dim = imm.intrinsic_dim, imm.ambient_dim
     vertices = imm.vertices
-    idx, mask = imm.topology.ring_neighborhoods(RING)
+    idx, mask = imm.topology.ring_neighborhoods
     counts = mask.sum(axis=1)
     if counts.min() < n + 1:
         raise NeighborhoodRankDeficient("neighborhood smaller than n+1 points")
@@ -346,41 +343,24 @@ def tracefree_decompose(
     )
 
 
-def _outer(a, b):
-    """Stacked outer products: (P, D) x (P, D) -> (P, D, D)."""
-    return a[:, :, None] * b[:, None, :]
-
-
 def _minimal_rotation_transport(tan_v, nor_v, tan_j, nor_j):
     """Tangent/normal transition matrices of the smallest rotation taking each
     neighbor tangent plane onto its center tangent plane, stacked over pairs.
 
     Frames carry a leading pair axis: tan_* (P, n, D), nor_* (P, d, D).
     Returns (tau, nu): tau[p, l, i] = <R t_i^(j), t_l^(v)>, nu[p, b, a]
-    likewise for the normal frames.  A principal angle whose cosine is within
-    1e-14 of one is left unrotated.
+    likewise for the normal frames.  Both are in closed form.  With the SVD
+    C = T_v T_j^T = U S V^T, R takes the principal vectors V^T T_j onto
+    U^T T_v, so tau = U V^T, the polar factor of C.  On the normal frames R
+    differs from the identity by a rank-n term:
+    nu = N_v N_j^T - (N_v T_j^T) (tau + C)^-1 (T_v N_j^T), and
+    (tau + C)^-1 = V (I + S)^-1 U^T is never singular, as S lies in [0, 1].
     """
-    npair, n, dim = tan_v.shape
-    tan_jt = np.swapaxes(tan_j, 1, 2)
-    uu, sig, vt = np.linalg.svd(tan_v @ tan_jt)
-    cos = np.clip(sig, -1.0, 1.0)
-    p = np.swapaxes(uu, 1, 2) @ tan_v  # principal vectors in the center plane
-    q = vt @ tan_j  # matching principal vectors in the neighbor plane
-    rot = np.broadcast_to(np.eye(dim), (npair, dim, dim))
-    for i in range(n):
-        c = cos[:, i, None]
-        turn = c[:, 0] <= 1.0 - 1e-14
-        s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
-        axis = (p[:, i] - c * q[:, i]) / np.where(turn[:, None], s, 1.0)
-        qi = q[:, i]
-        step = rot + (
-            s[:, :, None] * (_outer(axis, qi) - _outer(qi, axis))
-            + (c - 1.0)[:, :, None] * (_outer(qi, qi) + _outer(axis, axis))
-        )
-        rot = np.where(turn[:, None, None], step, rot)
-    tau = tan_v @ rot @ tan_jt
-    nu = nor_v @ rot @ np.swapaxes(nor_j, 1, 2)
-    return tau, nu
+    tan_jt, nor_jt = np.swapaxes(tan_j, 1, 2), np.swapaxes(nor_j, 1, 2)
+    uu, cos, vt = np.linalg.svd(tan_v @ tan_jt)
+    inverse = np.swapaxes(vt, 1, 2) / (1.0 + cos)[:, None, :] @ np.swapaxes(uu, 1, 2)
+    nu = nor_v @ nor_jt - (nor_v @ tan_jt) @ inverse @ (tan_v @ nor_jt)
+    return uu @ vt, nu
 
 
 def derivative_data(
@@ -404,13 +384,11 @@ def derivative_data(
     rows, cols = np.triu_indices(n)
     ncomp = d * len(rows)
     rhs = np.zeros((nv, width, ncomp))
-    own = idx == np.arange(nv)[:, None]
-    rv, rm = np.nonzero(mask & own)
-    rhs[rv, rm] = forms.h[rv][:, :, rows, cols].reshape(-1, ncomp)
-    pv, pm = np.nonzero(mask & ~own)
+    rhs[:, 0] = forms.h[:, :, rows, cols].reshape(nv, ncomp)  # each stencil row starts at v
+    pv, pm = np.nonzero(mask[:, 1:])
 
     def transport(block):
-        v, m_i = pv[block], pm[block]
+        v, m_i = pv[block], pm[block] + 1
         j = idx[v, m_i]
         tau, nu = _minimal_rotation_transport(
             frames.tangent[v], frames.normal[v], frames.tangent[j], frames.normal[j]

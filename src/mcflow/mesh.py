@@ -7,7 +7,7 @@ caches on first use:
 
 - per connectivity, shared by every ``with_vertices`` copy: ``topology`` (the
   edges, the triangle corners, the curve cycles, the stiffness sparsity
-  pattern and, per ring, the neighborhood index arrays);
+  pattern and the ring-``RING`` neighborhood index arrays);
 - per vertex array, never carried over by ``with_vertices``:
   ``element_measures`` (computed by the degeneracy check), ``vertex_weights``
   (the lumped mass M) and ``stiffness`` (the Laplace-Beltrami stiffness S).
@@ -30,6 +30,9 @@ from .errors import DegenerateElement, InvalidImmersion, ParseError, Unsupported
 #: elements smaller than this fraction of the mean element measure count as
 #: collapsed (genuine singularity, not floating-point noise)
 DEGENERATE_TOL = 1e-8
+
+#: graph radius of the neighborhood stencil that both local fits read
+RING = 2
 
 
 @dataclass
@@ -258,7 +261,6 @@ class MeshTopology:
         self.num_vertices = imm.num_vertices
         self.elements = imm.elements
         self.edges = np.unique(np.sort(_directed_edges(imm.elements), axis=1), axis=0)
-        self._ring_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @functools.cached_property
     def corners(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -292,18 +294,16 @@ class MeshTopology:
         np.cumsum(np.bincount(rows, minlength=nv), out=indptr[1:])
         return slot, indices, indptr
 
-    def ring_neighborhoods(self, ring: int) -> tuple[np.ndarray, np.ndarray]:
-        """Padded (V, m) index array and boolean mask of ring-BFS neighborhoods.
+    @functools.cached_property
+    def ring_neighborhoods(self) -> tuple[np.ndarray, np.ndarray]:
+        """Padded (V, m) index array and boolean mask of the ring-``RING`` BFS
+        neighborhoods.
 
         Row v lists v first, then neighbors by increasing graph depth and
-        index; padding repeats v with mask False.  Built once per ring from
-        the patterns of the powers (A + I)^k, k = 0..ring, of the adjacency
-        matrix A: w lies at depth ring + 1 - #{k : w in (A + I)^k} from v.
+        index; padding repeats v with mask False.  Built from the patterns of
+        the powers (A + I)^k, k = 0..RING, of the adjacency matrix A: w lies
+        at depth RING + 1 - #{k : w in (A + I)^k} from v.
         """
-        if ring < 1:
-            raise ValueError("ring must be >= 1")
-        if ring in self._ring_cache:
-            return self._ring_cache[ring]
         from scipy import sparse
 
         nv = self.num_vertices
@@ -313,7 +313,7 @@ class MeshTopology:
         hop = sparse.csr_matrix((np.ones(len(heads)), (heads, tails)), shape=(nv, nv))
         reach = sparse.identity(nv, format="csr")
         hits = reach
-        for _ in range(ring):
+        for _ in range(RING):
             reach = reach @ hop
             reach.data[:] = 1.0
             hits = hits + reach
@@ -326,7 +326,6 @@ class MeshTopology:
         mask = np.zeros((nv, width), dtype=bool)
         idx[rows, pos] = cols
         mask[rows, pos] = True
-        self._ring_cache[ring] = (idx, mask)
         return idx, mask
 
     @functools.cached_property

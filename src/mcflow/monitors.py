@@ -43,23 +43,25 @@ INFORMATIONAL = "informational"
 
 
 def lp_norm(values: np.ndarray, p: float, weights: np.ndarray) -> float:
-    """(sum w |f|^p)^(1/p) over the vertex measure."""
+    """(sum w |f|^p)^(1/p) over the vertex measure, also where the sum is no float."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    return float((weights @ np.abs(values) ** p) ** (1.0 / p))
+    total, log_total = power_sum(np.abs(values), p, weights)
+    return total ** (1.0 / p) if log_total is None else _exp(log_total / p)
 
 
 def power_sum(habs: np.ndarray, alpha: float, weights: np.ndarray) -> tuple:
-    """(sum w |H|^alpha, its logarithm where the sum overflows, else None) for
-    nonnegative ``habs``; the overflow raises no numpy warning."""
-    with np.errstate(over="ignore"):
+    """(sum w |H|^alpha, None) for nonnegative ``habs``, or (the direct sum,
+    inf or 0, and the logarithm of the true sum) where the direct sum leaves
+    the float range; no numpy warning either way."""
+    with np.errstate(over="ignore", under="ignore"):
         total = float(weights @ habs ** alpha)
-    if total < math.inf:
+    if 0.0 < total < math.inf:
         return total, None
     with np.errstate(divide="ignore"):
         logs = np.log(weights) + alpha * np.log(habs)
-    top = logs.max()
-    return total, float(top + np.log(np.exp(logs - top).sum()))
+    top = logs.max()  # -inf where every term is zero: then the sum is 0
+    return total, float(top + np.log(np.exp(logs - top).sum())) if top > -math.inf else None
 
 
 @dataclass
@@ -314,15 +316,43 @@ def pinching_andrews_baker(view: StateView) -> MonitorReport:
     )
 
 
+def _entry(value: float, log_value: float | None) -> float | None:
+    """The report value of a ``power_sum`` pair: None (JSON null) out of the float range."""
+    if log_value is not None:
+        value = _exp(log_value)
+        value = value if 0.0 < value < math.inf else None
+    return value
+
+
+def _quotient(num: tuple, den: tuple) -> tuple:
+    """(num / den as a report value, num >= den) of two ``power_sum`` pairs."""
+    if num[1] is None and den[1] is None:
+        return num[0] / den[0], num[0] >= den[0]
+    log_ratio = _ln(*num) - _ln(*den)
+    return _entry(math.inf, log_ratio), log_ratio >= 0.0
+
+
+def _chen_bound(n: int, vol: float = 1.0, power: float = 1.0) -> tuple:
+    """(n^n omega_n / vol)^power as a ``power_sum`` pair; n^n is no float from n = 144 on."""
+    log_chen = n * math.log(n * math.sqrt(math.pi)) - math.lgamma(0.5 * n + 1.0)
+    try:
+        bound = (n ** n * analytic.unit_ball_volume(n) / vol) ** power
+    except (OverflowError, ZeroDivisionError):  # n^n past floats, or vol = 0 in floats
+        bound = math.inf
+    log_bound = power * (log_chen - _ln(vol, None))
+    return (bound, None) if 0.0 < bound < math.inf else (bound, log_bound)
+
+
 def _chen_report(view: StateView) -> MonitorReport:
     n = view.n
-    bound = n ** n * analytic.unit_ball_volume(n)
-    total = float(view.weights @ np.sqrt(np.clip(view.h2, 0.0, None)) ** n)
+    total = power_sum(np.sqrt(np.clip(view.h2, 0.0, None)), n, view.weights)
+    bound = _chen_bound(n)
+    ratio, holds = _quotient(total, bound)
     return MonitorReport(
         name="chen_total_mean_curvature",
         digest=view.digest,
-        values={"integral": total, "bound": bound, "ratio": total / bound},
-        verdict=HOLDS if total >= bound else VIOLATED,
+        values={"integral": _entry(*total), "bound": _entry(*bound), "ratio": ratio},
+        verdict=HOLDS if holds else VIOLATED,
         anchor="integral |H|^n dmu >= n^n omega_n",
     )
 
@@ -330,28 +360,30 @@ def _chen_report(view: StateView) -> MonitorReport:
 def _hmax_report(view: StateView) -> MonitorReport:
     # Chen's bound max|H|^n >= n^n omega_n / Vol, raised to the power 2/n
     n = view.n
-    bound = (n ** n * analytic.unit_ball_volume(n) / view.vol) ** (2.0 / n)
+    bound = _chen_bound(n, view.vol, 2.0 / n)
     peak = float(view.h2.max())
+    ratio, holds = _quotient((peak, None), bound)
     return MonitorReport(
         name="hmax_lower_bound",
         digest=view.digest,
-        values={"h2_max": peak, "bound": bound, "ratio": peak / bound},
-        verdict=HOLDS if peak >= bound else VIOLATED,
+        values={"h2_max": peak, "bound": _entry(*bound), "ratio": ratio},
+        verdict=HOLDS if holds else VIOLATED,
         anchor="max|H|^2 >= (n^n omega_n / Vol)^(2/n)",
     )
 
 
 def _topping_report(view: StateView) -> MonitorReport:
     n = view.n
-    integral = float(view.weights @ np.sqrt(np.clip(view.h2, 0.0, None)) ** (n - 1))
+    integral = power_sum(np.sqrt(np.clip(view.h2, 0.0, None)), n - 1, view.weights)
     diam = view.diameter
     if not math.isfinite(diam):  # a disconnected mesh; JSON has no Infinity
         diam = None
-    ratio = diam / integral if diam is not None and integral else None
+    nonzero = integral != (0.0, None)
+    ratio = _quotient((diam, None), integral)[0] if diam is not None and nonzero else None
     return MonitorReport(
         name="topping_ratio",
         digest=view.digest,
-        values={"diameter": diam, "integral": integral, "ratio": ratio},
+        values={"diameter": diam, "integral": _entry(*integral), "ratio": ratio},
         verdict=INFORMATIONAL,
         anchor="diam(M) <= c * integral |H|^{n-1} dmu (c unspecified)",
     )

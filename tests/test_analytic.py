@@ -192,8 +192,12 @@ class TestSphereState:
             lambda: SphereScene(n=2, r0=1e-200),
             lambda: SphereProductScene(p=2**62),
             lambda: SphereProductScene(p=40, a0=1e10),
+            lambda: SphereScene(n=300, r0=1e-3),
         ],
-        ids=["n_1000", "n_10_400", "collapse_time_underflows", "p_2_62", "vol_overflows"],
+        ids=[
+            "n_1000", "n_10_400", "collapse_time_underflows", "p_2_62", "vol_overflows",
+            "vol_underflows",
+        ],
     )
     def test_closed_form_out_of_float_range_rejected(self, make):
         with pytest.raises(ValidationError):

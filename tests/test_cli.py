@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcflow import cli, config as config_mod, curvature, flow, runner
-from mcflow.analytic import SphereScene
+from mcflow.analytic import SphereScene, unit_sphere_area
 from mcflow.config import config_from_dict, load_config, parse_scene
 from mcflow.errors import (
     McflowError,
@@ -288,6 +290,51 @@ def test_malformed_mesh_file_exits_4_before_the_run_directory(
     assert not out.exists()
 
 
+#: bytes that no number, separator or line break of a snapshot or sidecar holds,
+#: so that each one written into the data rows breaks the file
+_DAMAGE_BYTES = st.sampled_from([b"x", b";", b"?", b"\x00", b"\xff"])
+
+
+@st.composite
+def _damage(draw, text, keep):
+    """One edit of a file's bytes ``text``, whose first ``keep`` lines are
+    edited only whole: a line deleted, duplicated or cut before its last
+    separator, or a byte of the rest replaced or a byte inserted there."""
+    lines = text.splitlines(keepends=True)
+    kind = draw(st.sampled_from(["delete", "duplicate", "cut", "replace", "insert"]))
+    if kind in ("delete", "duplicate", "cut"):
+        k = draw(st.integers(0, len(lines) - 1))
+        line = lines[k].rstrip(b"\n")
+        edit = {
+            "delete": [],
+            "duplicate": [lines[k], lines[k]],
+            "cut": [line[: max(line.rfind(b","), line.rfind(b" "))] + b"\n"],
+        }[kind]
+        return b"".join(lines[:k] + edit + lines[k + 1 :])
+    start = len(b"".join(lines[:keep]))
+    pos = draw(st.integers(start, len(text) - (kind == "replace")))
+    return text[:pos] + draw(_DAMAGE_BYTES) + text[pos + (kind == "replace") :]
+
+
+@settings(max_examples=50, deadline=timedelta(seconds=2))
+@given(data=st.data())
+def test_fuzzed_mesh_file_exits_3_or_4(data, tmp_path_factory):
+    # one edit to the snapshot, the sidecar or both; a traceback fails the test
+    tmp = tmp_path_factory.mktemp("damaged")
+    mesh, sidecar = tmp / "mesh.csv", tmp / "mesh.elements.txt"
+    write_snapshot(icosphere(subdiv=1), mesh)
+    which = data.draw(st.sampled_from([(mesh,), (sidecar,), (mesh, sidecar)]))
+    for path in which:
+        path.write_bytes(data.draw(_damage(path.read_bytes(), 1 if path == mesh else 0)))
+    cfg_path = tmp / "cfg.json"
+    cfg_path.write_text(json.dumps(_small_run({"kind": "mesh_file", "path": str(mesh)})))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp / "out")])
+    assert code in (3, 4)
+    assert err.getvalue().startswith(("config error", "numerical failure"))
+
+
 class TestBuildOnce:
     def test_mesh_file_source_is_parsed_once(self, tmp_path, monkeypatch):
         write_snapshot(icosphere(subdiv=2), tmp_path / "mesh.csv")
@@ -484,6 +531,28 @@ class TestRun:
         assert manifest["error"].startswith("ValidationError: the spacetime integral")
         for line in (out / "trace.ndjson").read_text().splitlines():
             json.loads(line, parse_constant=pytest.fail)  # no NaN or Infinity
+
+    def test_norm_of_a_high_power_stays_in_the_float_range(self, tmp_path):
+        scene = {"kind": "ellipsoid", "semi_axes": [0.3, 0.1, 0.1], "subdiv": 2}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_small_run(scene, monitors={"p": [2000.0]})))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning among them
+            assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        lines = (out / "trace.ndjson").read_text().splitlines()
+        norms = [json.loads(line)["aring_p_norms"]["2000.0"] for line in lines]
+        assert len(norms) == 3 and all(9.0 < value < 10.0 for value in norms)  # ~ max|Aring|
+
+    def test_exact_sphere_past_dimension_144_completes(self, tmp_path):
+        # n^n is too large for a float from n = 144 on; n^n omega_n is not
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_small_run({"kind": "analytic_sphere", "n": 150})))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert json.loads((out / "MANIFEST.json").read_text())["status"] == "complete"
+        reports = {r["name"]: r for r in json.loads((out / "monitors.json").read_text())}
+        assert reports["chen_total_mean_curvature"]["verdict"] == "holds"
 
     def test_non_finite_trace_value_fails_the_run(self, tmp_path, monkeypatch):
         monkeypatch.setattr(flow, "power_sum", lambda habs, a, weights: (math.nan, None))
@@ -804,6 +873,36 @@ class TestCliEntry:
         code = cli.main(["oracle", "--scene", '{"kind": "analytic_sphere"}', "--t", "nan"])
         assert code == 3
         assert capsys.readouterr().out == ""
+
+    def test_oracle_of_an_infinite_curvature_exits_3(self, capsys):
+        scene = '{"kind": "analytic_sphere", "n": 2, "r0": 1e-150}'
+        assert cli.main(["oracle", "--scene", scene, "--t", "2.4999999999999996e-301"]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("numerical failure: NonFiniteValue")
+
+    def test_check_of_a_small_sphere_of_high_dimension_prints_standard_json(self, capsys):
+        # |H|^60 overflows at r = 1e-4; the Chen integral n^n |S^n| does not
+        scene = '{"kind": "analytic_sphere", "n": 60, "r0": 1e-4}'
+        assert cli.main(["check", "--suite", "inequalities", "--scene", scene]) == 0
+        text = capsys.readouterr().out.splitlines()[-1]
+        reports = {r["name"]: r for r in json.loads(text, parse_constant=pytest.fail)}
+        chen = reports["analytic_sphere:chen_total_mean_curvature"]["values"]
+        want = math.exp(60 * math.log(60) + math.log(unit_sphere_area(60)))
+        assert chen["integral"] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_integer_past_the_conversion_limit_exits_4(self, tmp_path, capsys, command):
+        huge = "9" * 5000  # int() converts at most 4300 digits
+        if command == "run":
+            cfg_path = tmp_path / "cfg.json"
+            text = '{"scene": {"kind": "analytic_sphere"}, "stop": {"step_cap": %s}}' % huge
+            cfg_path.write_text(text)
+            argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        else:
+            argv = ["oracle", "--scene", '{"kind": "analytic_sphere", "n": %s}' % huge]
+        assert cli.main(argv) == 4
+        assert capsys.readouterr().err.startswith("config error: invalid")
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -229,7 +229,7 @@ class TestTopology:
         assert moved.transformed(translation=[1.0, 0.0, 0.0]).topology is imm.topology
         assert embed_immersion(moved, 5).topology is imm.topology
 
-    @pytest.mark.parametrize("ring", [1, 2, 3])
+    @pytest.mark.parametrize("ring", [RING])  # the one stencil radius the fits read
     @pytest.mark.parametrize(
         "build",
         [
@@ -242,11 +242,11 @@ class TestTopology:
     )
     def test_rings_match_breadth_first_search(self, build, ring):
         imm = build()
-        idx, mask = imm.topology.ring_neighborhoods(ring)
+        idx, mask = imm.topology.ring_neighborhoods
         ref_idx, ref_mask = _bfs_rings(imm.topology.edges, imm.num_vertices, ring)
         assert idx.dtype == ref_idx.dtype and mask.dtype == ref_mask.dtype
         assert np.array_equal(idx, ref_idx) and np.array_equal(mask, ref_mask)
-        assert imm.topology.ring_neighborhoods(ring)[0] is idx
+        assert imm.topology.ring_neighborhoods[0] is idx
 
 
 def _two_cycles():
@@ -634,7 +634,8 @@ class TestCovariantDerivative:
 
 
 def _per_pair_transport(tan_v, nor_v, tan_j, nor_j):
-    """Reference minimal-rotation transport of one (vertex, neighbor) pair."""
+    """Reference minimal-rotation transport of one (vertex, neighbor) pair,
+    through the explicit D x D rotation."""
     n, dim = tan_v.shape
     uu, sig, vt = np.linalg.svd(tan_v @ tan_j.T)
     cos = np.clip(sig, -1.0, 1.0)
@@ -655,11 +656,19 @@ def _per_pair_transport(tan_v, nor_v, tan_j, nor_j):
     return tan_v @ rot @ tan_j.T, nor_v @ rot @ nor_j.T
 
 
+def _per_pair_closed_form(tan_v, nor_v, tan_j, nor_j):
+    """The closed-form transport of one (vertex, neighbor) pair: the polar
+    factor of C = T_v T_j^T and the rank-n normal correction."""
+    uu, cos, vt = np.linalg.svd(tan_v @ tan_j.T)
+    inverse = vt.T / (1.0 + cos) @ uu.T
+    return uu @ vt, nor_v @ nor_j.T - (nor_v @ tan_j.T) @ inverse @ (tan_v @ nor_j.T)
+
+
 def _per_pair_derivative_data(imm, frames, forms):
     """Reference derivative fit that transports one (vertex, neighbor) pair at a
     time, on a stencil it builds itself rather than the one the frames carry."""
     n, d, nv = imm.intrinsic_dim, imm.codim, imm.num_vertices
-    idx, mask = imm.topology.ring_neighborhoods(RING)
+    idx, mask = imm.topology.ring_neighborhoods
     delta = imm.vertices[idx] - imm.vertices[:, None, :]
     dist = np.linalg.norm(delta, axis=2)
     others = mask.copy()
@@ -679,7 +688,7 @@ def _per_pair_derivative_data(imm, frames, forms):
             if j == v:
                 hj = forms.h[v]
             else:
-                tau, nu = _per_pair_transport(
+                tau, nu = _per_pair_closed_form(
                     frames.tangent[v], frames.normal[v], frames.tangent[j], frames.normal[j]
                 )
                 hj = np.einsum("ba,li,mk,aik->blm", nu, tau, tau, forms.h[j])
@@ -748,10 +757,14 @@ class TestBatchedTransport:
         tan_v, nor_v, tan_j, nor_j = (np.array(x) for x in zip(*pairs))
         tau, nu = _minimal_rotation_transport(tan_v, nor_v, tan_j, nor_j)
         for p in range(len(tan_v)):
-            ref_tau, ref_nu = _per_pair_transport(tan_v[p], nor_v[p], tan_j[p], nor_j[p])
-            assert np.array_equal(tau[p], ref_tau) and np.array_equal(nu[p], ref_nu)
+            frame = tan_v[p], nor_v[p], tan_j[p], nor_j[p]
+            one_tau, one_nu = _per_pair_closed_form(*frame)
+            assert np.array_equal(tau[p], one_tau) and np.array_equal(nu[p], one_nu)
+            ref_tau, ref_nu = _per_pair_transport(*frame)  # the explicit rotation
+            assert np.abs(tau[p] - ref_tau).max() <= 1e-13
+            assert np.abs(nu[p] - ref_nu).max() <= 1e-13
             if p % 3 < 2:  # no principal angle to turn: the identity rotation
-                assert np.array_equal(tau[p], tan_v[p] @ tan_j[p].T)
+                assert np.abs(tau[p] - tan_v[p] @ tan_j[p].T).max() <= 1e-14
             else:
                 assert not np.allclose(tau[p], tan_v[p] @ tan_j[p].T)
 
@@ -770,7 +783,7 @@ def _einsum_jet_forms(imm):
     """Reference jet fit with stacked einsum contractions and an all-vertex
     eigvalsh conditioning check."""
     n, dim = imm.intrinsic_dim, imm.ambient_dim
-    idx, mask = imm.topology.ring_neighborhoods(RING)
+    idx, mask = imm.topology.ring_neighborhoods
     counts = mask.sum(axis=1)
     pts = imm.vertices[idx]
     w = mask[:, :, None].astype(float)

@@ -1,6 +1,10 @@
 import json
 import math
+import sys
 import tracemalloc
+import warnings
+
+import mpmath as mp
 
 import numpy as np
 import pytest
@@ -69,6 +73,68 @@ class TestLpNorm:
         w = icosphere4.vertex_weights
         value = lp_norm(np.sqrt(forms.h2), 2.0, w)
         assert value == pytest.approx(4 * math.sqrt(math.pi), rel=1e-2)
+
+
+def _rescaled_lp_norm(values, p, weights):
+    """Independent L^p norm: max|f| (sum w (|f| / max|f|)^p)^(1/p), whose sum
+    stays between min w and the volume."""
+    top = np.abs(values).max()
+    return top * float(weights @ (np.abs(values) / top) ** p) ** (1.0 / p)
+
+
+class TestPowersOutOfFloatRange:
+    @pytest.mark.parametrize(
+        "build, p",
+        [
+            (lambda: ellipsoid([0.3, 0.1, 0.1], subdiv=2), 2000.0),  # the sum overflows
+            (lambda: icosphere(subdiv=3), 200.0),  # the sum underflows
+        ],
+        ids=["overflow", "underflow"],
+    )
+    def test_lp_norm_matches_the_rescaled_sum(self, build, p):
+        imm = build()
+        view = state_view(imm)
+        aring = np.sqrt(np.clip(view.aring2, 0.0, None))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning among them
+            got = lp_norm(aring, p, view.weights)
+        assert got == pytest.approx(_rescaled_lp_norm(aring, p, view.weights), rel=1e-12)
+        assert 0.99 * aring.max() < got <= aring.max()
+
+    def test_power_sum_of_an_underflowing_sum_gives_its_logarithm(self):
+        habs, weights = np.array([0.0, 1e-4, 2e-4]), np.array([0.2, 0.5, 0.25])
+        total, log_total = power_sum(habs, 100.0, weights)  # 2e-4^100 = e^-852
+        assert total == 0.0
+        want = np.logaddexp(
+            math.log(0.5) - 400 * math.log(10.0), math.log(0.25) + 100 * math.log(2e-4)
+        )
+        assert log_total == pytest.approx(want, rel=1e-14)
+        assert power_sum(np.zeros(3), 100.0, weights) == (0.0, None)
+
+    @pytest.mark.parametrize(
+        "n, r0",
+        [(60, 1e-4), (144, 1.0), (150, 1.0), (200, 1.0)],
+        ids=["power_overflows", "n_144", "n_150", "n_200"],
+    )
+    def test_chen_reports_past_the_float_range(self, n, r0):
+        # |H|^n Vol = n^n |S^n| on every round sphere, though |H|^60 overflows
+        # at r = 1e-4 and n^n is no float from n = 144 on
+        reports = {r.name: r for r in inequality_suite(state_view(SphereScene(n=n, r0=r0)))}
+        chen, hmax = reports["chen_total_mean_curvature"], reports["hmax_lower_bound"]
+        with mp.workdps(30):
+            half = mp.mpf(n) / 2
+            bound = mp.mpf(n) ** n * mp.pi ** half / mp.gamma(half + 1)
+            integral = mp.mpf(n) ** n * 2 * mp.pi ** (half + 0.5) / mp.gamma(half + 0.5)
+        for got, want in ((chen.values["bound"], bound), (chen.values["integral"], integral)):
+            if want < sys.float_info.max:
+                assert got == pytest.approx(float(want), rel=1e-12)
+            else:
+                assert got is None
+        ratio = unit_sphere_area(n) / unit_ball_volume(n)
+        assert chen.values["ratio"] == pytest.approx(ratio, rel=1e-12)
+        assert hmax.values["ratio"] == pytest.approx(ratio ** (2.0 / n), rel=1e-12)
+        assert chen.verdict == hmax.verdict == HOLDS
+        json.dumps([vars(r) for r in reports.values()], allow_nan=False)
 
 
 class TestSpacetimeAccumulator:

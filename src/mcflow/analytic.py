@@ -16,7 +16,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    McflowError,
     NegativeTestFunction,
+    NonFiniteValue,
     PastSingularity,
     UnsupportedDimension,
     ValidationError,
@@ -65,21 +67,44 @@ def _log(x: float) -> float:
 # ---------------------------------------------------------------------------
 # exact scenes
 
-def _check_closed_form(scene, field: str) -> None:
-    """Reject a scene whose closed-form record at t = 0 leaves the float range
-    (a dimension in the hundreds overflows the sphere area's gamma function,
-    and a small radius to that power underflows the volume)."""
-    try:
-        st = scene.state(0.0)
-        finite = all(map(math.isfinite, vars(st).values())) and st.vol > 0
-    except (OverflowError, PastSingularity):
-        finite = False
-    if not finite:
-        raise ValidationError("the closed form at t = 0 is out of float range", field=field)
+class _ExactScene:
+    """Closed-form solution on the time window [0, T), T = ``collapse_time``;
+    ``state(t)`` is its one float-range check, at t = 0 in the constructor."""
+
+    def _check_float_range(self, field: str) -> None:
+        try:
+            self.state(0.0)
+        except McflowError:
+            raise ValidationError("the closed form at t = 0 is out of float range", field=field)
+
+    @property
+    def intrinsic_dim(self) -> int:
+        return self.n
+
+    def state(self, t: float):
+        """Exact curvature record at time t: PastSingularity outside [0, T),
+        NonFiniteValue where a field is not finite or the volume not > 0 (a
+        dimension in the hundreds overflows the gamma function of the sphere
+        area, a small radius to that power underflows the volume)."""
+        try:
+            T = self.collapse_time
+            if not 0 <= t < T:
+                raise PastSingularity(f"t={t} outside [0, {T})")
+            st = self._closed_form(t, T)
+            in_range = all(map(math.isfinite, vars(st).values())) and st.vol > 0
+        except ArithmeticError:  # an overflow, or a radius whose square is 0
+            in_range = False
+        if not in_range:
+            raise NonFiniteValue(f"the closed form at t={t} is out of float range")
+        return st
+
+    def spacetime_integral(self, alpha: float, t_end: float) -> float | None:
+        """No closed form; flow drivers accumulate the integral themselves."""
+        return None
 
 
 @dataclass(frozen=True)
-class SphereScene:
+class SphereScene(_ExactScene):
     """Round n-sphere of initial radius r0 centered at the origin of the
     coordinate (n+1)-plane of R^{n+d}."""
 
@@ -94,11 +119,7 @@ class SphereScene:
             raise ValidationError("codimension must be >= 1", field="d")
         if not 0 < self.r0 < math.inf:
             raise ValidationError("initial radius must be positive and finite", field="r0")
-        _check_closed_form(self, "n")
-
-    @property
-    def intrinsic_dim(self) -> int:
-        return self.n
+        self._check_float_range("n")
 
     @property
     def ambient_dim(self) -> int:
@@ -108,11 +129,7 @@ class SphereScene:
     def collapse_time(self) -> float:
         return self.r0 ** 2 / (2.0 * self.n)
 
-    def state(self, t: float) -> SphereState:
-        """Exact curvature record of the shrinking sphere at time t."""
-        T = self.collapse_time
-        if not 0 <= t < T:
-            raise PastSingularity(f"t={t} outside [0, {T})")
+    def _closed_form(self, t: float, T: float) -> SphereState:
         n = self.n
         r = math.sqrt(self.r0 ** 2 - 2.0 * n * t)
         return SphereState(
@@ -134,27 +151,14 @@ class SphereScene:
         return math.pi * self.state(t).r
 
     def spacetime_integral(self, alpha: float, t_end: float) -> float:
-        """Accumulated integral of |H|^alpha over M x [0, t_end]; ValidationError
-        when it leaves the float range."""
+        """Accumulated integral of |H|^alpha over M x [0, t_end], the exponential
+        of its logarithm; ValidationError when it leaves the float range."""
         log_value = self._log_spacetime_integral(alpha, t_end)
         if log_value >= _LOG_FLOAT_MAX:
             raise ValidationError(
                 f"the spacetime integral of |H|^{alpha:g} leaves the float range", field="alpha"
             )
-        if t_end == 0:
-            return 0.0
-        n, T = self.n, self.collapse_time
-        area = unit_sphere_area(n)
-        # the product rounds less than exp of the logarithm, which serves only
-        # where a factor overflows
-        try:
-            if alpha == n + 2:
-                return (n ** (n + 1) * area / 2.0) * math.log(T / (T - t_end))
-            k = n - alpha + 2.0
-            r = math.sqrt(self.r0 ** 2 - 2.0 * n * t_end)
-            return n ** (alpha - 1) * area * r ** k * math.expm1(k * math.log(self.r0 / r)) / k
-        except OverflowError:
-            return math.exp(log_value)
+        return math.exp(log_value)
 
     def _log_spacetime_integral(self, alpha: float, t_end: float) -> float:
         """Natural logarithm of ``spacetime_integral``, summed from the logarithms
@@ -179,18 +183,16 @@ class SphereScene:
 
     def oracle_record(self, t: float) -> dict:
         """Closed-form state at time t as a JSON-ready record; the spacetime norm
-        is finite where the integral itself leaves the float range."""
+        is taken from the logarithm of the integral, so it is finite where the
+        integral itself leaves the float range."""
         record = {"kind": "sphere", "t": t, **asdict(self.state(t))}
         alpha = self.n + 2.0
-        try:
-            norm = self.spacetime_integral(alpha, t) ** (1.0 / alpha)
-        except ValidationError:
-            norm = math.exp(self._log_spacetime_integral(alpha, t) / alpha)
+        norm = math.exp(self._log_spacetime_integral(alpha, t) / alpha)
         return {**record, "spacetime_norm_n_plus_2": norm}
 
 
 @dataclass(frozen=True)
-class SphereProductScene:
+class SphereProductScene(_ExactScene):
     """S^p(a0) x S^q(b0) in R^{p+q+2+extra_codim}; both factors shrink."""
 
     p: int = 1
@@ -206,15 +208,11 @@ class SphereProductScene:
             raise ValidationError("factor radii must be positive and finite", field="a0")
         if self.extra_codim < 0:
             raise ValidationError("extra_codim must be >= 0", field="extra_codim")
-        _check_closed_form(self, "p")
+        self._check_float_range("p")
 
     @property
     def n(self) -> int:
         return self.p + self.q
-
-    @property
-    def intrinsic_dim(self) -> int:
-        return self.n
 
     @property
     def ambient_dim(self) -> int:
@@ -228,11 +226,7 @@ class SphereProductScene:
     def collapse_time(self) -> float:
         return min(self.a0 ** 2 / (2.0 * self.p), self.b0 ** 2 / (2.0 * self.q))
 
-    def state(self, t: float) -> SphereProductState:
-        """Exact curvature record of the shrinking sphere product at time t."""
-        T = self.collapse_time
-        if not 0 <= t < T:
-            raise PastSingularity(f"t={t} outside [0, {T})")
+    def _closed_form(self, t: float, T: float) -> SphereProductState:
         p, q = self.p, self.q
         a = math.sqrt(self.a0 ** 2 - 2.0 * p * t)
         b = math.sqrt(self.b0 ** 2 - 2.0 * q * t)
@@ -261,10 +255,6 @@ class SphereProductScene:
         """Intrinsic diameter at time t: antipodal points in both factors."""
         st = self.state(t)
         return math.pi * math.hypot(st.a, st.b)
-
-    def spacetime_integral(self, alpha: float, t_end: float) -> None:
-        """No closed form; flow drivers accumulate the integral themselves."""
-        return None
 
     def oracle_record(self, t: float) -> dict:
         """Closed-form state at time t as a JSON-ready record."""

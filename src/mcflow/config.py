@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic, scenes
-from .errors import ParseError, ValidationError
+from .errors import McflowError, ParseError, ValidationError
 from .flow import SchemeConfig, StopRule
 from .mesh import read_snapshot
 
@@ -184,11 +184,11 @@ def config_from_dict(raw: dict) -> RunConfig:
         for key, (name, integer) in _STOP_KEYS.items()
         if stop_raw.get(key) is not None
     })
-    if scene.is_analytic and stop.t_end is not None and stop.t_end >= body.collapse_time:
-        raise ValidationError(
-            f"t_end={stop.t_end:g} is not before the collapse time {body.collapse_time:g}",
-            field="stop.t_end",
-        )
+    if scene.is_analytic and stop.t_end is not None:
+        try:  # past the collapse time, or out of the closed form's float range
+            body.state(stop.t_end)
+        except McflowError as exc:
+            raise ValidationError(f"stop.t_end: {exc}", field="stop.t_end") from None
 
     # SchemeConfig supplies what the block leaves out, but curves redistribute
     scheme_args = _section(raw.get("scheme", {}), set(_SCHEME_KEYS), "scheme")

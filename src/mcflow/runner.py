@@ -240,7 +240,8 @@ def _lookup(obj, path: str, *keys):
 
 
 def load_trace(trace_dir) -> FlowTrace:
-    """Records plus snapshots of a finished run directory.
+    """Records plus snapshots of a finished run directory; its ``intrinsic_dim``
+    is read from the snapshots, None without them.
 
     A MANIFEST or snapshot index that does not parse, lacks a key or holds
     an entry of the wrong shape raises ParseError naming the file.
@@ -265,19 +266,13 @@ def load_trace(trace_dir) -> FlowTrace:
             if snapshots and np.array_equal(imm.elements, snapshots[0].immersion.elements):
                 imm = snapshots[0].immersion.with_vertices(imm.vertices)  # share one topology
             snapshots.append(Snapshot(step, t, imm, scalars))
-    if snapshots:
-        # the sidecars give n, so a mesh_file run never re-reads its source mesh
-        n = snapshots[0].immersion.intrinsic_dim
-    else:
-        scene = _lookup(manifest, manifest_path, "config", "scene")
-        n = SceneSpec.from_dict(scene).body.intrinsic_dim
     return FlowTrace(
         records=records,
         snapshots=snapshots,
         final_state=None,
         status=status,
         stop_reason="",
-        intrinsic_dim=n,
+        intrinsic_dim=snapshots[0].immersion.intrinsic_dim if snapshots else None,
     )
 
 

@@ -21,6 +21,7 @@ from mcflow.analytic import (
 )
 from mcflow.errors import (
     NegativeTestFunction,
+    NonFiniteValue,
     PastSingularity,
     UnsupportedDimension,
     ValidationError,
@@ -185,22 +186,27 @@ class TestSphereState:
             make(r)
 
     @pytest.mark.parametrize(
-        "make",
+        "make, error",
         [
-            lambda: SphereScene(n=1000),
-            lambda: SphereScene(n=10**400),
-            lambda: SphereScene(n=2, r0=1e-200),
-            lambda: SphereProductScene(p=2**62),
-            lambda: SphereProductScene(p=40, a0=1e10),
-            lambda: SphereScene(n=300, r0=1e-3),
+            (lambda: SphereScene(n=1000), ValidationError),
+            (lambda: SphereScene(n=10**400), ValidationError),
+            (lambda: SphereScene(n=2, r0=1e-200), ValidationError),
+            (lambda: SphereProductScene(p=2**62), ValidationError),
+            (lambda: SphereProductScene(p=40, a0=1e10), ValidationError),
+            (lambda: SphereScene(n=300, r0=1e-3), ValidationError),
+            # records of a valid scene, checked where they are read
+            (lambda: SphereScene(n=150).state(0.003333), NonFiniteValue),
+            (lambda: SphereProductScene(p=100, q=100).state(0.00499), NonFiniteValue),
+            (lambda: SphereScene(n=2, r0=1e-150).state(2.4999999999999996e-301), NonFiniteValue),
         ],
         ids=[
             "n_1000", "n_10_400", "collapse_time_underflows", "p_2_62", "vol_overflows",
-            "vol_underflows",
+            "vol_underflows", "state_vol_underflows", "product_state_vol_underflows",
+            "state_h2_overflows",
         ],
     )
-    def test_closed_form_out_of_float_range_rejected(self, make):
-        with pytest.raises(ValidationError):
+    def test_closed_form_out_of_float_range_rejected(self, make, error):
+        with pytest.raises(error):
             make()
 
     @settings(max_examples=30, deadline=None)
@@ -312,10 +318,18 @@ class TestSpacetimeNorm:
     @pytest.mark.parametrize("n", [1, 2, 3, 7])
     def test_logarithm_matches_closed_form(self, n):
         scene = SphereScene(n=n, r0=1.3)
+        area = unit_sphere_area(n)
+        T = scene.collapse_time
         for alpha in (1.0, n + 1.5, n + 2.0, n + 2.0 + 1e-9, n + 6.0, 40.0):
             for frac in (1e-12, 0.1, 0.9, 0.999999):
-                t_end = frac * scene.collapse_time
-                value = scene.spacetime_integral(alpha, t_end)
+                t_end = frac * T
+                # the closed form as a direct product of its factors
+                if alpha == n + 2:
+                    value = (n ** (n + 1) * area / 2.0) * math.log(T / (T - t_end))
+                else:
+                    k = n - alpha + 2.0
+                    r = math.sqrt(1.3 ** 2 - 2.0 * n * t_end)
+                    value = n ** (alpha - 1) * area * r ** k * math.expm1(k * math.log(1.3 / r)) / k
                 assert scene._log_spacetime_integral(alpha, t_end) == pytest.approx(
                     math.log(value), rel=1e-13, abs=1e-13
                 )

@@ -554,6 +554,32 @@ class TestRun:
         reports = {r["name"]: r for r in json.loads((out / "monitors.json").read_text())}
         assert reports["chen_total_mean_curvature"]["verdict"] == "holds"
 
+    def test_exact_sphere_t_end_out_of_float_range_exits_4(self, tmp_path):
+        # t_end is before the collapse time 0.0033333, but r^150 there underflows
+        raw = {"scene": {"kind": "analytic_sphere", "n": 150}, "stop": {"t_end": 0.003333}}
+        with pytest.raises(ValidationError) as err:
+            config_from_dict(raw)
+        assert err.value.field == "stop.t_end"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 4
+        assert not (out / "trace.ndjson").exists()
+
+    def test_exact_record_out_of_float_range_fails_the_run(self, tmp_path):
+        raw = {"scene": {"kind": "analytic_sphere", "n": 150}, "stop": {"maxA2": 1e9}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's warnings among them
+            assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
+        manifest = json.loads((out / "MANIFEST.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"].startswith("NonFiniteValue: the closed form at t=")
+        records = [json.loads(line) for line in (out / "trace.ndjson").read_text().splitlines()]
+        assert records and all(rec["vol"] > 0.0 for rec in records)
+
     def test_non_finite_trace_value_fails_the_run(self, tmp_path, monkeypatch):
         monkeypatch.setattr(flow, "power_sum", lambda habs, a, weights: (math.nan, None))
         cfg_path = tmp_path / "cfg.json"
@@ -793,9 +819,9 @@ RUN_DIR_DAMAGE = {
         lambda run: (run / "snapshots" / "index.json").write_text("[[0, 0.0]]"),
         "index.json",
     ),
-    "manifest_without_config": (
+    "manifest_without_status": (
         "analytic",
-        lambda run: (run / "MANIFEST.json").write_text('{"status": "complete"}'),
+        lambda run: (run / "MANIFEST.json").write_text('{"config": {}}'),
         "MANIFEST.json",
     ),
 }
@@ -880,6 +906,14 @@ class TestCliEntry:
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("numerical failure: NonFiniteValue")
 
+    def test_oracle_out_of_float_range_exits_3(self, capsys):
+        scene = '{"kind": "analytic_sphere", "n": 150}'
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["oracle", "--scene", scene, "--t", "0.003333"]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("numerical failure: NonFiniteValue")
+
     def test_check_of_a_small_sphere_of_high_dimension_prints_standard_json(self, capsys):
         # |H|^60 overflows at r = 1e-4; the Chen integral n^n |S^n| does not
         scene = '{"kind": "analytic_sphere", "n": 60, "r0": 1e-4}'
@@ -960,6 +994,27 @@ class TestCliEntry:
         assert (tmp_path / "r1" / "roundness.json").read_bytes() == (
             tmp_path / "r2" / "roundness.json"
         ).read_bytes()
+
+    @pytest.mark.parametrize("damage", ["source_moved", "manifest_without_config"])
+    def test_rescale_without_snapshots_exits_4(self, tmp_path, capsys, damage):
+        # no scene is rebuilt: neither the source mesh nor the MANIFEST's config is read
+        src = tmp_path / "src"
+        src.mkdir()
+        write_snapshot(icosphere(subdiv=2), src / "mesh.csv")
+        raw = {
+            "scene": {"kind": "mesh_file", "path": str(src / "mesh.csv")},
+            "stop": {"step_cap": 2},
+            "snapshot_every": 0,
+        }
+        out = tmp_path / "out"
+        assert runner.run(config_from_dict(raw), out) == 0
+        if damage == "source_moved":
+            os.rename(src, tmp_path / "moved")
+        else:
+            (out / "MANIFEST.json").write_text('{"status": "complete"}')
+        assert cli.main(["rescale", "--trace", str(out)]) == 4
+        assert capsys.readouterr().err == "config error: trace directory has no snapshots\n"
+        assert not (out / "rescaled").exists()
 
     def test_run_builds_one_topology(self, tmp_path, topology_builds):
         cfg = config_from_dict(minimal_config(snapshot_every=2, stop={"step_cap": 6}))
